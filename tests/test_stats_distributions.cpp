@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "common/error.hpp"
@@ -138,6 +139,10 @@ struct DistCase {
   const char* label;
   std::shared_ptr<Distribution> dist;
 };
+
+// gtest copies a parameter's printed form into the ctest name; print the
+// label, not the object bytes (which hold a heap address).
+void PrintTo(const DistCase& param, std::ostream* os) { *os << param.label; }
 
 class DistributionProperty : public ::testing::TestWithParam<DistCase> {};
 
