@@ -30,12 +30,14 @@
 #include "common/random.hpp"
 #include "core/model/oci.hpp"
 #include "core/policy/factory.hpp"
+#include "io/hierarchy.hpp"
 #include "io/storage_model.hpp"
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
 #include "sim/failure_source.hpp"
+#include "sim/hierarchy.hpp"
 #include "sim/sweep.hpp"
 #include "stats/exponential.hpp"
 #include "trace_tool.hpp"
@@ -553,6 +555,50 @@ TEST_F(ObsTest, EnabledSimulationFlushesEngineCounters) {
   const obs::MetricValue* dispatch = snap.find("sim.dispatch.fast");
   ASSERT_NE(dispatch, nullptr);
   EXPECT_GE(dispatch->count, 1u);
+}
+
+/// Hierarchy runs share the flat engine's event loop, so they flush the same
+/// `sim.*` counter families: one trial per replica, and every tier-0 write
+/// counts as a checkpoint written.  The restore-level histogram keeps its
+/// buckets and sees one observation per failure.
+TEST_F(ObsTest, HierarchyRunsFlushEngineCounters) {
+  obs::set_enabled(true);
+  const auto hierarchy =
+      io::make_hierarchy("bb:beta=0.05,survivable=0.8|pfs:beta=0.5,every=4");
+  sim::HierarchyConfig config;
+  config.compute_hours = 120.0;
+  config.alpha_oci_hours = core::daly_oci(0.05, 11.0);
+  config.mtbf_hint_hours = 11.0;
+  config.shape_hint = 0.6;
+  const auto policy = core::make_policy("ilazy:0.6");
+  const stats::Exponential mtbf = stats::Exponential::from_mean(11.0);
+
+  obs::Counter& trials = obs::metrics().counter("sim.trials");
+  obs::Counter& written = obs::metrics().counter("sim.checkpoints_written");
+  const std::uint64_t trials_before = trials.value();
+  const std::uint64_t written_before = written.value();
+  const obs::MetricValue* level_before =
+      obs::metrics().snapshot().find("sim.tier.restore_level");
+  const std::uint64_t restores_before =
+      level_before != nullptr ? level_before->count : 0;
+
+  const auto runs = sim::run_hierarchy_replicas_raw(config, hierarchy,
+                                                    *policy, mtbf, 6, 4242);
+  std::uint64_t tier0_writes = 0;
+  std::uint64_t failures = 0;
+  for (const auto& run : runs) {
+    tier0_writes += run.tiers[0].checkpoints;
+    failures += run.failures;
+  }
+  ASSERT_GT(failures, 0u);
+  EXPECT_EQ(trials.value(), trials_before + runs.size());
+  EXPECT_EQ(written.value(), written_before + tier0_writes);
+
+  const obs::MetricsSnapshot snap = obs::metrics().snapshot();
+  const obs::MetricValue* level = snap.find("sim.tier.restore_level");
+  ASSERT_NE(level, nullptr);
+  EXPECT_EQ(level->count, restores_before + failures);
+  EXPECT_EQ(level->bucket_bounds, (std::vector<double>{0.0, 1.0, 2.0, 3.0}));
 }
 
 /// The ISSUE's cross-thread flow contract: a ScopedFlow opened on the main
