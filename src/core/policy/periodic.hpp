@@ -5,7 +5,7 @@
 ///
 /// next_interval is defined inline: these are the innermost per-event
 /// calls of the simulator, and the engine's devirtualized fast path
-/// (sim/engine.cpp) instantiates its loop directly against these final
+/// (sim/event_loop.hpp) instantiates its loop directly against these final
 /// classes so the decisions compile down to loads.
 
 #include <string>

@@ -30,7 +30,7 @@ namespace {
 /// transform plus a running-sum accumulation in draw order.
 constexpr std::size_t kFailurePrefetch = 16;
 
-/// Same counter names as the scalar engine (sim/engine.cpp) so batched
+/// Same counter names as the scalar engine (sim/event_loop.hpp) so batched
 /// and scalar sweeps aggregate into the same totals, plus the batch
 /// dispatch counter.  Flushed once per batch after the rounds complete —
 /// the rounds themselves never touch observability state.
@@ -62,7 +62,7 @@ struct TimelineArenaPoint {
 };
 
 /// One batch of replicas in lockstep.  Phase 2's step() is a statement-
-/// for-statement transcription of one run_loop iteration (sim/engine.cpp)
+/// for-statement transcription of one run_loop iteration
 /// — same comparisons, same order, same error messages.  What it omits is
 /// exactly the work run_loop does whose results the eligible
 /// configuration can never observe: PolicyContext refreshes (the three

@@ -4,10 +4,10 @@
 /// \brief Batched SoA trial kernel: N Monte-Carlo replicas in flight at
 /// once, bit-identical to per-replica simulate() (DESIGN.md §5h).
 ///
-/// The scalar event loop (sim/engine.cpp run_loop) is latency-bound: each
-/// iteration is one long floating-point dependency chain, and its single
-/// non-trivial call — the iLazy interval's pow — cannot be vectorized
-/// from inside one trial.  This kernel runs a *batch* of replicas in
+/// The scalar event loop (run_loop, sim/event_loop.hpp) is latency-bound:
+/// each iteration is one long floating-point dependency chain, and its
+/// single non-trivial call — the iLazy interval's pow — cannot be
+/// vectorized from inside one trial.  This kernel runs a *batch* of replicas in
 /// lockstep rounds instead:
 ///
 ///   phase 1  compute every live replica's next interval in one pass —
