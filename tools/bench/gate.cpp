@@ -1,204 +1,139 @@
 #include "gate.hpp"
 
-#include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
+#include <variant>
+
+#include "json.hpp"
 
 namespace lazyckpt::benchgate {
 
 namespace {
 
-// ---------------------------------------------------------------------
-// Minimal JSON reader — objects, arrays, strings, numbers, booleans,
-// null.  Exactly what bench::write_machine_json and micro_engine emit;
-// no escapes beyond \" and \\ are needed (and none are emitted).
-// ---------------------------------------------------------------------
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string text;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  [[nodiscard]] const JsonValue* find(std::string_view key) const {
-    for (const auto& [name, value] : object) {
-      if (name == key) return &value;
-    }
-    return nullptr;
+/// Read the value at the cursor into `out` when it has T's JSON kind and
+/// skip it otherwise, leaving `out` as it was: a key of another type
+/// reads as absent, so the schema can grow without breaking old gates.
+template <typename T>
+void read_if(json::Reader& reader, T* out) {
+  constexpr json::Kind kKind =
+      std::is_same_v<T, std::string> ? json::Kind::kString
+      : std::is_same_v<T, bool>      ? json::Kind::kBool
+                                     : json::Kind::kNumber;
+  if (reader.peek_kind() != kKind) {
+    reader.skip_value();
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    *out = reader.parse_string();
+  } else if constexpr (std::is_same_v<T, bool>) {
+    *out = reader.parse_bool();
+  } else if constexpr (std::is_same_v<T, double>) {
+    *out = reader.parse_number();
+  } else {
+    *out = reader.parse_uint64();
   }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue value = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing content after JSON value");
-    return value;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("bench JSON: " + what + " at offset " +
-                             std::to_string(pos_));
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  JsonValue parse_value() {
-    switch (peek()) {
-      case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
-      case '"':
-        return parse_string();
-      case 't':
-      case 'f':
-        return parse_bool();
-      case 'n':
-        return parse_null();
-      default:
-        return parse_number();
-    }
-  }
-
-  JsonValue parse_object() {
-    expect('{');
-    JsonValue value;
-    value.kind = JsonValue::Kind::kObject;
-    if (peek() == '}') {
-      ++pos_;
-      return value;
-    }
-    while (true) {
-      JsonValue key = parse_string();
-      expect(':');
-      value.object.emplace_back(std::move(key.text), parse_value());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return value;
-    }
-  }
-
-  JsonValue parse_array() {
-    expect('[');
-    JsonValue value;
-    value.kind = JsonValue::Kind::kArray;
-    if (peek() == ']') {
-      ++pos_;
-      return value;
-    }
-    while (true) {
-      value.array.push_back(parse_value());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return value;
-    }
-  }
-
-  JsonValue parse_string() {
-    expect('"');
-    JsonValue value;
-    value.kind = JsonValue::Kind::kString;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("unterminated escape");
-        c = text_[pos_++];
-        if (c == 'n') c = '\n';
-        if (c == 't') c = '\t';
-      }
-      value.text.push_back(c);
-    }
-    if (pos_ >= text_.size()) fail("unterminated string");
-    ++pos_;  // closing quote
-    return value;
-  }
-
-  JsonValue parse_bool() {
-    JsonValue value;
-    value.kind = JsonValue::Kind::kBool;
-    if (text_.compare(pos_, 4, "true") == 0) {
-      value.boolean = true;
-      pos_ += 4;
-    } else if (text_.compare(pos_, 5, "false") == 0) {
-      value.boolean = false;
-      pos_ += 5;
-    } else {
-      fail("malformed boolean");
-    }
-    return value;
-  }
-
-  JsonValue parse_null() {
-    if (text_.compare(pos_, 4, "null") != 0) fail("malformed null");
-    pos_ += 4;
-    return JsonValue{};
-  }
-
-  JsonValue parse_number() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("malformed number");
-    JsonValue value;
-    value.kind = JsonValue::Kind::kNumber;
-    value.number = std::stod(std::string(text_.substr(start, pos_ - start)));
-    return value;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-double number_or(const JsonValue& object, std::string_view key,
-                 double fallback) {
-  const JsonValue* value = object.find(key);
-  return value != nullptr && value->kind == JsonValue::Kind::kNumber
-             ? value->number
-             : fallback;
 }
 
-ArmStats parse_arm(const JsonValue& object) {
-  ArmStats arm;
-  arm.seconds = number_or(object, "seconds", 0.0);
-  arm.trials_per_sec = number_or(object, "trials_per_sec", 0.0);
-  arm.events_per_sec = number_or(object, "events_per_sec", 0.0);
-  return arm;
+/// Visit the value at the cursor with `on_key` if it is an object, else
+/// skip it.  Returns whether it was an object.
+template <typename OnKey>
+bool read_object_if(json::Reader& reader, OnKey&& on_key) {
+  if (reader.peek_kind() != json::Kind::kObject) {
+    reader.skip_value();
+    return false;
+  }
+  reader.parse_object(on_key);
+  return true;
+}
+
+/// Where read_fields stores one named field.
+using Field = std::variant<std::string*, bool*, double*, std::uint64_t*>;
+
+/// Visit an object, reading each listed field with read_if and skipping
+/// every other key, or skip a value that is not an object.  Returns
+/// whether it was an object.
+bool read_fields(json::Reader& reader,
+                 std::initializer_list<std::pair<std::string_view, Field>>
+                     fields) {
+  return read_object_if(reader, [&](const std::string& key) {
+    for (const auto& [name, field] : fields) {
+      if (name == key) {
+        return std::visit([&](auto* out) { read_if(reader, out); }, field);
+      }
+    }
+    reader.skip_value();
+  });
+}
+
+/// Walk the root object of a `kind` ("bench" or "cache") report.  The
+/// "bench" name and "machine.smoke_mode" that every report carries are
+/// read here; every other key goes to `on_key(reader, key)`.  Malformed
+/// JSON and a root that is not an object throw json::ParseError.
+template <typename Report, typename OnKey>
+void parse_report(std::string_view text, const std::string& kind,
+                  Report* report, OnKey&& on_key) {
+  json::Reader reader(text);
+  bool is_object = false;
+  try {
+    is_object = read_object_if(reader, [&](const std::string& key) {
+      if (key == "bench") {
+        read_if(reader, &report->bench);
+      } else if (key == "machine") {
+        read_fields(reader, {{"smoke_mode", &report->smoke_mode}});
+      } else {
+        on_key(reader, key);
+      }
+    });
+    if (!reader.at_end()) reader.fail("trailing content after JSON value");
+  } catch (const json::ParseError& e) {
+    throw json::ParseError(kind + " report does not parse: " + e.what());
+  }
+  if (!is_object) throw json::ParseError(kind + " report is not a JSON object");
+}
+
+std::string read_report(const std::string& path, const std::string& kind) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    throw std::runtime_error("cannot read " + kind + " report: " + path);
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+/// One "results" entry: its workload name, event count, and every object
+/// member carrying a trials_per_sec rate as a measured arm.
+WorkloadRow parse_row(json::Reader& reader) {
+  WorkloadRow row;
+  reader.parse_object([&](const std::string& key) {
+    if (key == "workload") {
+      read_if(reader, &row.workload);
+    } else if (key == "events") {
+      read_if(reader, &row.events);
+    } else {
+      ArmStats arm;
+      bool has_rate = false;
+      const auto on_stat = [&](const std::string& stat) {
+        if (stat == "seconds") {
+          read_if(reader, &arm.seconds);
+        } else if (stat == "trials_per_sec") {
+          has_rate = true;
+          read_if(reader, &arm.trials_per_sec);
+        } else if (stat == "events_per_sec") {
+          read_if(reader, &arm.events_per_sec);
+        } else {
+          reader.skip_value();
+        }
+      };
+      if (read_object_if(reader, on_stat) && has_rate) {
+        row.arms.emplace(key, arm);
+      }
+    }
+  });
+  return row;
 }
 
 std::string ratio_detail(const std::string& workload, const std::string& arm,
@@ -214,71 +149,41 @@ std::string ratio_detail(const std::string& workload, const std::string& arm,
 }  // namespace
 
 BenchReport parse_bench_report(std::string_view text) {
-  JsonValue root;
-  try {
-    root = JsonParser(text).parse();
-  } catch (const std::exception& e) {
-    throw std::runtime_error(std::string("bench report does not parse: ") +
-                             e.what());
-  }
-  if (root.kind != JsonValue::Kind::kObject) {
-    throw std::runtime_error("bench report is not a JSON object");
-  }
-
   BenchReport report;
-  if (const JsonValue* bench = root.find("bench");
-      bench != nullptr && bench->kind == JsonValue::Kind::kString) {
-    report.bench = bench->text;
-  }
-  report.replicas =
-      static_cast<std::uint64_t>(number_or(root, "replicas", 0.0));
-  report.seed = static_cast<std::uint64_t>(number_or(root, "seed", 0.0));
-  if (const JsonValue* bit = root.find("bit_identical");
-      bit != nullptr && bit->kind == JsonValue::Kind::kBool) {
-    report.bit_identical = bit->boolean;
-  }
-  if (const JsonValue* machine = root.find("machine");
-      machine != nullptr && machine->kind == JsonValue::Kind::kObject) {
-    if (const JsonValue* smoke = machine->find("smoke_mode");
-        smoke != nullptr && smoke->kind == JsonValue::Kind::kBool) {
-      report.smoke_mode = smoke->boolean;
+  bool has_results = false;
+  parse_report(text, "bench", &report,
+               [&](json::Reader& reader, const std::string& key) {
+    if (key == "replicas") {
+      read_if(reader, &report.replicas);
+    } else if (key == "seed") {
+      read_if(reader, &report.seed);
+    } else if (key == "bit_identical") {
+      read_if(reader, &report.bit_identical);
+    } else if (key == "results" &&
+               reader.peek_kind() == json::Kind::kArray) {
+      has_results = true;
+      reader.parse_array([&] {
+        if (reader.peek_kind() == json::Kind::kObject) {
+          report.rows.push_back(parse_row(reader));
+        } else {
+          reader.skip_value();
+        }
+      });
+    } else {
+      reader.skip_value();
     }
-  }
-
-  const JsonValue* results = root.find("results");
-  if (results == nullptr || results->kind != JsonValue::Kind::kArray) {
-    throw std::runtime_error("bench report has no results array");
-  }
-  for (const JsonValue& entry : results->array) {
-    if (entry.kind != JsonValue::Kind::kObject) continue;
-    WorkloadRow row;
-    if (const JsonValue* name = entry.find("workload");
-        name != nullptr && name->kind == JsonValue::Kind::kString) {
-      row.workload = name->text;
-    }
-    row.events = static_cast<std::uint64_t>(number_or(entry, "events", 0.0));
-    for (const auto& [key, value] : entry.object) {
-      if (value.kind == JsonValue::Kind::kObject &&
-          value.find("trials_per_sec") != nullptr) {
-        row.arms.emplace(key, parse_arm(value));
-      }
-    }
-    report.rows.push_back(std::move(row));
+  });
+  if (!has_results) {
+    throw json::ParseError("bench report has no results array");
   }
   if (report.rows.empty()) {
-    throw std::runtime_error("bench report has an empty results array");
+    throw json::ParseError("bench report has an empty results array");
   }
   return report;
 }
 
 BenchReport load_bench_report(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("cannot read bench report: " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_bench_report(buffer.str());
+  return parse_bench_report(read_report(path, "bench"));
 }
 
 GateOutcome run_gate(const BenchReport& baseline, const BenchReport& fresh,
@@ -344,64 +249,38 @@ GateOutcome run_gate(const BenchReport& baseline, const BenchReport& fresh,
 }
 
 CacheReport parse_cache_report(std::string_view text) {
-  JsonValue root;
-  try {
-    root = JsonParser(text).parse();
-  } catch (const std::exception& e) {
-    throw std::runtime_error(std::string("cache report does not parse: ") +
-                             e.what());
-  }
-  if (root.kind != JsonValue::Kind::kObject) {
-    throw std::runtime_error("cache report is not a JSON object");
-  }
-
   CacheReport report;
-  if (const JsonValue* bench = root.find("bench");
-      bench != nullptr && bench->kind == JsonValue::Kind::kString) {
-    report.bench = bench->text;
-  }
-  report.scenarios =
-      static_cast<std::uint64_t>(number_or(root, "scenarios", 0.0));
-  if (const JsonValue* bit = root.find("bit_identical");
-      bit != nullptr && bit->kind == JsonValue::Kind::kBool) {
-    report.byte_identical = bit->boolean;
-  }
-  if (const JsonValue* bit = root.find("byte_identical");
-      bit != nullptr && bit->kind == JsonValue::Kind::kBool) {
-    report.byte_identical = bit->boolean;
-  }
-  if (const JsonValue* machine = root.find("machine");
-      machine != nullptr && machine->kind == JsonValue::Kind::kObject) {
-    if (const JsonValue* smoke = machine->find("smoke_mode");
-        smoke != nullptr && smoke->kind == JsonValue::Kind::kBool) {
-      report.smoke_mode = smoke->boolean;
+  bool has_warm = false;
+  bool has_overall = false;
+  parse_report(text, "cache", &report,
+               [&](json::Reader& reader, const std::string& key) {
+    if (key == "scenarios") {
+      read_if(reader, &report.scenarios);
+    } else if (key == "byte_identical" || key == "bit_identical") {
+      read_if(reader, &report.byte_identical);
+    } else if (key == "warm") {
+      has_warm = read_fields(reader, {{"hits", &report.warm_hits},
+                                      {"misses", &report.warm_misses}});
+    } else if (key == "overall") {
+      has_overall = read_fields(
+          reader, {{"cold_seconds", &report.cold_seconds},
+                   {"warm_disk_seconds", &report.warm_disk_seconds},
+                   {"speedup_warm_disk", &report.speedup_warm_disk}});
+    } else {
+      reader.skip_value();
     }
+  });
+  if (!has_warm) {
+    throw json::ParseError("cache report has no warm hit/miss block");
   }
-  const JsonValue* warm = root.find("warm");
-  if (warm == nullptr || warm->kind != JsonValue::Kind::kObject) {
-    throw std::runtime_error("cache report has no warm hit/miss block");
+  if (!has_overall) {
+    throw json::ParseError("cache report has no overall block");
   }
-  report.warm_hits = static_cast<std::uint64_t>(number_or(*warm, "hits", 0.0));
-  report.warm_misses =
-      static_cast<std::uint64_t>(number_or(*warm, "misses", 0.0));
-  const JsonValue* overall = root.find("overall");
-  if (overall == nullptr || overall->kind != JsonValue::Kind::kObject) {
-    throw std::runtime_error("cache report has no overall block");
-  }
-  report.cold_seconds = number_or(*overall, "cold_seconds", 0.0);
-  report.warm_disk_seconds = number_or(*overall, "warm_disk_seconds", 0.0);
-  report.speedup_warm_disk = number_or(*overall, "speedup_warm_disk", 0.0);
   return report;
 }
 
 CacheReport load_cache_report(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("cannot read cache report: " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_cache_report(buffer.str());
+  return parse_cache_report(read_report(path, "cache"));
 }
 
 GateOutcome run_cache_gate(const CacheReport& fresh,

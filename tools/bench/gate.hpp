@@ -12,9 +12,9 @@
 /// unconditionally, while throughput is compared with a noise bound so a
 /// shared runner's jitter does not fail CI but a real regression does.
 ///
-/// The parser is deliberately self-contained: a minimal recursive-descent
-/// JSON reader for the bench schema, so the gate builds even when the
-/// simulation libraries do not.
+/// Reports are read with the shared tools/json pull reader, which like the
+/// gate links none of the simulation libraries, so the gate builds even
+/// when the code it measures does not.
 
 #include <cstdint>
 #include <map>
@@ -49,9 +49,8 @@ struct BenchReport {
   std::vector<WorkloadRow> rows;
 };
 
-/// Parse a bench report.  Throws std::runtime_error on malformed JSON or
-/// a report missing the required keys.  (Plain std exceptions: like the
-/// linter, this tool deliberately links none of the lazyckpt libraries.)
+/// Parse a bench report.  Throws json::ParseError (a std::runtime_error)
+/// on malformed JSON or a report missing the required keys.
 [[nodiscard]] BenchReport parse_bench_report(std::string_view text);
 
 /// Read and parse one report file.  Throws std::runtime_error when the
@@ -121,8 +120,8 @@ struct CacheReport {
   double speedup_warm_disk = 0.0;
 };
 
-/// Parse a cache bench report.  Throws std::runtime_error on malformed
-/// JSON or a report missing the required keys.
+/// Parse a cache bench report.  Throws json::ParseError on malformed JSON
+/// or a report missing the required keys.
 [[nodiscard]] CacheReport parse_cache_report(std::string_view text);
 
 /// Read and parse one cache report file.  Throws on unreadable files.

@@ -21,7 +21,8 @@
 ///                  and a synthetic 100x slowdown injected into it must
 ///                  fail.  Exit 0 only if both hold.
 ///
-/// Exit status: 0 gate passed, 1 gate failed, 2 usage or I/O error.
+/// Exit status: 0 gate passed, 1 gate failed (a report that does not
+/// parse fails it too), 2 usage or I/O error.
 
 #include <cstdio>
 #include <cstdlib>
@@ -29,6 +30,7 @@
 #include <string>
 
 #include "gate.hpp"
+#include "json.hpp"
 
 namespace {
 
@@ -169,6 +171,7 @@ int main(int argc, char** argv) {
     return injected.pass ? 1 : 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "lazyckpt-bench-gate: %s\n", e.what());
-    return 2;
+    // A report that does not parse fails the gate; the rest is I/O.
+    return dynamic_cast<const json::ParseError*>(&e) != nullptr ? 1 : 2;
   }
 }

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <utility>
 
+#include "json.hpp"
 #include "lexer.hpp"
 #include "symbols.hpp"
 
@@ -420,27 +421,6 @@ std::string_view banned_source_on_line(const std::string& line,
     if (has_token(line, token)) return token;
   }
   return {};
-}
-
-void json_escape(std::string_view in, std::string* out) {
-  for (const char c : in) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      case '\r': *out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char kHex[] = "0123456789abcdef";
-          *out += "\\u00";
-          *out += kHex[(c >> 4) & 0xf];
-          *out += kHex[c & 0xf];
-        } else {
-          *out += c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -1112,10 +1092,10 @@ std::string render_findings_json(std::vector<Finding> findings) {
     const Finding& f = findings[i];
     out += i == 0 ? "\n" : ",\n";
     out += "    {\"file\": \"";
-    json_escape(f.file, &out);
+    out += json::escape(f.file);
     out += "\", \"line\": " + std::to_string(f.line) + ", \"rule\": \"" +
            std::string(rule_id(f.rule)) + "\", \"message\": \"";
-    json_escape(f.message, &out);
+    out += json::escape(f.message);
     out += "\"}";
   }
   out += findings.empty() ? "]\n}\n" : "\n  ]\n}\n";

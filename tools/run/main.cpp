@@ -52,6 +52,7 @@
 #include "common/table.hpp"
 #include "io/factory.hpp"
 #include "io/hierarchy.hpp"
+#include "json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/report.hpp"
@@ -125,40 +126,26 @@ void print_list() {
       "                    skip<N>:<base-spec>\n");
 }
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 void print_scenario_json(const spec::Scenario& s, const char* indent) {
-  std::printf("%s\"name\": \"%s\",\n", indent, json_escape(s.name).c_str());
-  std::printf("%s\"title\": \"%s\",\n", indent, json_escape(s.title).c_str());
+  std::printf("%s\"name\": \"%s\",\n", indent,
+              json::escape(s.name).c_str());
+  std::printf("%s\"title\": \"%s\",\n", indent,
+              json::escape(s.title).c_str());
   std::printf("%s\"distribution\": \"%s\",\n", indent,
-              json_escape(s.distribution).c_str());
+              json::escape(s.distribution).c_str());
   if (s.is_tiered()) {
     std::printf("%s\"tiers\": [", indent);
     for (std::size_t i = 0; i < s.tiers.size(); ++i) {
       std::printf("%s\"%s\"", i > 0 ? ", " : "",
-                  json_escape(s.tiers[i]).c_str());
+                  json::escape(s.tiers[i]).c_str());
     }
     std::printf("],\n");
   } else {
     std::printf("%s\"storage\": \"%s\",\n", indent,
-                json_escape(s.storage).c_str());
+                json::escape(s.storage).c_str());
   }
   std::printf("%s\"policy\": \"%s\",\n", indent,
-              json_escape(s.policy).c_str());
+              json::escape(s.policy).c_str());
   std::printf("%s\"compute_hours\": %.17g,\n", indent, s.compute_hours);
   std::printf("%s\"replicas\": %zu,\n", indent, s.replicas);
   std::printf("%s\"seed\": %llu\n", indent,
@@ -225,7 +212,7 @@ void print_json(const spec::ScenarioResult& result) {
       std::printf(
           "      {\"kind\": \"%s\", \"mean_io_hours\": %.17g, "
           "\"mean_checkpoints\": %.17g, \"mean_restarts\": %.17g}%s\n",
-          json_escape(tier.kind).c_str(), tier.mean_io_hours,
+          json::escape(tier.kind).c_str(), tier.mean_io_hours,
           tier.mean_checkpoints, tier.mean_restarts,
           i + 1 < h.tiers.size() ? "," : "");
     }
@@ -597,7 +584,7 @@ int main(int argc, char** argv) {
       inputs.machine.emplace_back(
           "lazyckpt_threads",
           threads_env != nullptr
-              ? "\"" + json_escape(threads_env) + "\""
+              ? "\"" + json::escape(threads_env) + "\""
               : std::string("null"));
       inputs.machine.emplace_back("smoke", smoke ? "true" : "false");
       inputs.metrics = obs::metrics().snapshot();

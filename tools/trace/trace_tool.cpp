@@ -1,7 +1,6 @@
 #include "trace_tool.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -11,183 +10,7 @@
 namespace lazyckpt::tracetool {
 namespace {
 
-/// Minimal recursive-descent JSON reader.  The tool only needs to walk a
-/// trace document, so values are visited in place (no DOM): objects and
-/// arrays invoke callbacks, scalars are returned directly.
-class JsonReader {
- public:
-  explicit JsonReader(std::string_view text) : text_(text) {}
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  [[nodiscard]] char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of document");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) {
-      fail(std::string("expected '") + c + "', got '" + text_[pos_] + "'");
-    }
-    ++pos_;
-  }
-
-  [[nodiscard]] bool consume(char c) {
-    if (peek() == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          // Decode the BMP scalar to UTF-8; names in our traces are ASCII
-          // so this path exists for standards compliance, not pretty text.
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4U;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              fail("bad hex digit in \\u escape");
-            }
-          }
-          if (code < 0x80U) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800U) {
-            out += static_cast<char>(0xC0U | (code >> 6U));
-            out += static_cast<char>(0x80U | (code & 0x3FU));
-          } else {
-            out += static_cast<char>(0xE0U | (code >> 12U));
-            out += static_cast<char>(0x80U | ((code >> 6U) & 0x3FU));
-            out += static_cast<char>(0x80U | (code & 0x3FU));
-          }
-          break;
-        }
-        default: fail("unknown escape sequence");
-      }
-    }
-  }
-
-  double parse_number() {
-    skip_ws();
-    const char* start = text_.data() + pos_;
-    char* end = nullptr;
-    const double value = std::strtod(start, &end);
-    if (end == start) fail("expected a number");
-    pos_ += static_cast<std::size_t>(end - start);
-    return value;
-  }
-
-  /// Visit an object: `on_key(key)` must consume the value.
-  template <typename OnKey>
-  void parse_object(OnKey&& on_key) {
-    expect('{');
-    if (consume('}')) return;
-    while (true) {
-      const std::string key = parse_string();
-      expect(':');
-      on_key(key);
-      if (consume('}')) return;
-      expect(',');
-    }
-  }
-
-  /// Visit an array: `on_element()` must consume one value per call.
-  template <typename OnElement>
-  void parse_array(OnElement&& on_element) {
-    expect('[');
-    if (consume(']')) return;
-    while (true) {
-      on_element();
-      if (consume(']')) return;
-      expect(',');
-    }
-  }
-
-  /// Consume any value, discarding it.
-  void skip_value() {
-    const char c = peek();
-    if (c == '{') {
-      parse_object([&](const std::string&) { skip_value(); });
-    } else if (c == '[') {
-      parse_array([&]() { skip_value(); });
-    } else if (c == '"') {
-      parse_string();
-    } else if (c == 't') {
-      consume_literal("true");
-    } else if (c == 'f') {
-      consume_literal("false");
-    } else if (c == 'n') {
-      consume_literal("null");
-    } else {
-      parse_number();
-    }
-  }
-
-  void consume_literal(std::string_view literal) {
-    skip_ws();
-    if (text_.substr(pos_, literal.size()) != literal) {
-      fail("bad literal");
-    }
-    pos_ += literal.size();
-  }
-
-  [[nodiscard]] bool at_end() {
-    skip_ws();
-    return pos_ >= text_.size();
-  }
-
-  [[noreturn]] void fail(const std::string& what) const {
-    // Line number for the error message: cheap scan, error path only.
-    std::size_t line = 1;
-    for (std::size_t i = 0; i < pos_ && i < text_.size(); ++i) {
-      if (text_[i] == '\n') ++line;
-    }
-    throw ParseError("JSON error at line " + std::to_string(line) + ": " +
-                     what);
-  }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-Event parse_event(JsonReader& reader) {
+Event parse_event(json::Reader& reader) {
   Event event;
   reader.parse_object([&](const std::string& key) {
     if (key == "name") {
@@ -196,26 +19,23 @@ Event parse_event(JsonReader& reader) {
       const std::string ph = reader.parse_string();
       event.phase = ph.empty() ? '?' : ph[0];
     } else if (key == "pid") {
-      event.pid = static_cast<std::uint64_t>(reader.parse_number());
+      event.pid = reader.parse_uint64();
     } else if (key == "tid") {
-      event.tid = static_cast<std::uint64_t>(reader.parse_number());
+      event.tid = reader.parse_uint64();
     } else if (key == "ts") {
       event.ts_us = reader.parse_number();
     } else if (key == "args") {
       reader.parse_object([&](const std::string& arg_key) {
-        const char c = reader.peek();
-        if (c == '{' || c == '[') {
+        const json::Kind kind = reader.peek_kind();
+        if (kind == json::Kind::kObject || kind == json::Kind::kArray) {
           reader.skip_value();  // nested structures are not surfaced
-        } else if (c == '"') {
+        } else if (kind == json::Kind::kString) {
           event.args.emplace_back(arg_key, reader.parse_string());
-        } else if (c == 't') {
-          reader.consume_literal("true");
-          event.args.emplace_back(arg_key, "true");
-        } else if (c == 'f') {
-          reader.consume_literal("false");
-          event.args.emplace_back(arg_key, "false");
-        } else if (c == 'n') {
-          reader.consume_literal("null");
+        } else if (kind == json::Kind::kBool) {
+          event.args.emplace_back(arg_key,
+                                  reader.parse_bool() ? "true" : "false");
+        } else if (kind == json::Kind::kNull) {
+          reader.parse_null();
           event.args.emplace_back(arg_key, "null");
         } else {
           const double value = reader.parse_number();
@@ -232,11 +52,11 @@ Event parse_event(JsonReader& reader) {
     } else if (key == "id") {
       // Flow correlation id; the format allows both string and numeric
       // spellings (src/obs emits numbers).
-      if (reader.peek() == '"') {
+      if (reader.peek_kind() == json::Kind::kString) {
         const std::string id = reader.parse_string();
         event.flow_id = std::strtoull(id.c_str(), nullptr, 10);
       } else {
-        event.flow_id = static_cast<std::uint64_t>(reader.parse_number());
+        event.flow_id = reader.parse_uint64();
       }
       event.has_flow_id = true;
     } else {
@@ -248,13 +68,13 @@ Event parse_event(JsonReader& reader) {
 
 }  // namespace
 
-ParsedTrace parse_trace(std::string_view json) {
-  JsonReader reader(json);
+ParsedTrace parse_trace(std::string_view text) {
+  json::Reader reader(text);
   ParsedTrace trace;
   const auto parse_events = [&]() {
     reader.parse_array([&]() { trace.events.push_back(parse_event(reader)); });
   };
-  if (reader.peek() == '[') {
+  if (reader.peek_kind() == json::Kind::kArray) {
     parse_events();
   } else {
     bool saw_events = false;

@@ -7,22 +7,21 @@
 ///
 /// Like the lint core, this is a standalone library: it does not link the
 /// lazyckpt runtime, so tests can drive it over in-memory documents and the
-/// CLI builds even when the instrumented code does not.
+/// CLI builds even when the instrumented code does not.  Documents stream
+/// through the shared tools/json reader; no DOM of a trace is built.
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "json.hpp"
+
 namespace lazyckpt::tracetool {
 
 /// Malformed JSON or a document that is not a trace at all.
-class ParseError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
+using ParseError = json::ParseError;
 
 /// One trace_event entry.  Only the keys the viewer semantics depend on
 /// are modeled; unknown keys are ignored (the format allows extensions).
