@@ -16,8 +16,8 @@
 /// (index-ordered `Rng::split()` calls on a master generator) and writing
 /// results into index-addressed slots, so scheduling order can never leak
 /// into results.  parallel_map() enforces the slot discipline; the RNG
-/// pre-split is the caller's side of the bargain (see sim::run_replicas_raw
-/// for the canonical pattern).
+/// pre-split is the caller's side of the bargain (see sim/replicas.hpp for
+/// the canonical pattern).
 ///
 /// Thread count resolution: an explicit ParallelConfig::threads wins,
 /// otherwise the LAZYCKPT_THREADS environment variable, otherwise

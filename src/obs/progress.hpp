@@ -6,7 +6,9 @@
 /// "done/total | rate | ETA" line to stderr.
 ///
 /// The ticker *only reads*: the `sim.replicas_done` /
-/// `sim.campaign_replicas_done` gauges the engine already maintains, and
+/// `sim.campaign_replicas_done` gauges the engine already maintains (the
+/// one replica driver, sim/replicas.hpp, feeds `sim.replicas_done` from
+/// flat, batched and tiered sweeps alike), and
 /// the obs process clock.  It writes nothing any result path consumes, so
 /// enabling it cannot perturb a single golden-mastered byte — the same
 /// "observe, never perturb" contract as the tracer.  Output goes to

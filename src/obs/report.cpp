@@ -9,17 +9,6 @@
 namespace lazyckpt::obs {
 namespace {
 
-void append_escaped(std::string& out, const std::string& text) {
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out.push_back(c);
-  }
-}
-
 /// Nanoseconds as microseconds with a fixed 3-decimal remainder — the
 /// same stable formatting the trace serializer uses for timestamps.
 void append_us(std::string& out, std::uint64_t ns) {
@@ -98,14 +87,14 @@ std::string render_run_report(const RunReportInputs& inputs) {
   out += "  \"schema\": \"lazyckpt-run-report\",\n";
   out += "  \"version\": " + std::to_string(kRunReportSchemaVersion) + ",\n";
   out += "  \"tool\": \"";
-  append_escaped(out, inputs.tool);
+  append_json_escaped(out, inputs.tool);
   out += "\",\n";
 
   out += "  \"scenarios\": [";
   for (std::size_t i = 0; i < inputs.scenarios.size(); ++i) {
     if (i > 0) out += ", ";
     out += '"';
-    append_escaped(out, inputs.scenarios[i]);
+    append_json_escaped(out, inputs.scenarios[i]);
     out += '"';
   }
   out += "],\n";
@@ -114,7 +103,7 @@ std::string render_run_report(const RunReportInputs& inputs) {
   for (std::size_t i = 0; i < inputs.machine.size(); ++i) {
     out += i == 0 ? "\n" : ",\n";
     out += "    \"";
-    append_escaped(out, inputs.machine[i].first);
+    append_json_escaped(out, inputs.machine[i].first);
     out += "\": ";
     out += inputs.machine[i].second;  // caller-rendered JSON value
   }
@@ -131,7 +120,7 @@ std::string render_run_report(const RunReportInputs& inputs) {
     const SpanRollup& r = rollups[i];
     out += i == 0 ? "\n" : ",\n";
     out += "    {\"name\": \"";
-    append_escaped(out, r.name);
+    append_json_escaped(out, r.name);
     out += "\", \"count\": " + std::to_string(r.count) + ", \"total_us\": ";
     append_us(out, r.total_ns);
     out += ", \"self_us\": ";

@@ -58,13 +58,6 @@ struct EnvEnable {
 };
 const EnvEnable g_env_enable;
 
-void append_escaped(std::string& out, const char* text) {
-  for (const char* c = text; *c != '\0'; ++c) {
-    if (*c == '"' || *c == '\\') out.push_back('\\');
-    out.push_back(*c);
-  }
-}
-
 /// Microseconds with fixed 3-decimal nanosecond remainder — stable bytes
 /// for a given TimeNs, pinned by the fake-clock golden test.
 void append_timestamp_us(std::string& out, TimeNs ts_ns) {
@@ -193,6 +186,27 @@ std::vector<TraceEvent> snapshot_events() {
   return out;
 }
 
+void append_json_escaped(std::string& out, std::string_view text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += "\\u00";
+          out += kHex[static_cast<unsigned char>(c) >> 4U];
+          out += kHex[static_cast<unsigned char>(c) & 0xfU];
+        } else {
+          out += c;
+        }
+    }
+  }
+}
+
 std::string render_chrome_trace(const std::vector<TraceEvent>& events) {
   std::string out;
   out.reserve(64 + events.size() * 96);
@@ -200,7 +214,7 @@ std::string render_chrome_trace(const std::vector<TraceEvent>& events) {
   for (std::size_t i = 0; i < events.size(); ++i) {
     const TraceEvent& event = events[i];
     out += "{\"name\": \"";
-    append_escaped(out, event.name);
+    append_json_escaped(out, event.name);
     out += "\", \"cat\": \"lazyckpt\", \"ph\": \"";
     switch (event.kind) {
       case EventKind::kBegin:
@@ -251,7 +265,7 @@ std::string render_chrome_trace(const std::vector<TraceEvent>& events) {
         const TraceArg& arg = event.args[a];
         if (a > 0) out += ", ";
         out += '"';
-        append_escaped(out, arg.key);
+        append_json_escaped(out, arg.key);
         out += "\": ";
         if (arg.is_number) {
           char buf[40];
@@ -259,7 +273,7 @@ std::string render_chrome_trace(const std::vector<TraceEvent>& events) {
           out += buf;
         } else {
           out += '"';
-          append_escaped(out, arg.text.c_str());
+          append_json_escaped(out, arg.text);
           out += '"';
         }
       }

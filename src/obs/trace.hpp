@@ -27,6 +27,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -224,6 +225,12 @@ class TraceSpan {
 /// fake-clock golden test pins.
 [[nodiscard]] std::string render_chrome_trace(
     const std::vector<TraceEvent>& events);
+
+/// Append `text` to `out` as the body of a JSON string: quote, backslash
+/// and every byte below 0x20 escaped (`\n`, `\t`, `\r` by name, the rest
+/// as `\u00XX`), other bytes passed through — the bytes json::escape in
+/// tools/json produces.  The one escaper of the trace and report writers.
+void append_json_escaped(std::string& out, std::string_view text);
 
 /// drain_events() + render + write to `path`.  Returns false (and leaves
 /// no partial file behind, best effort) when the file cannot be written.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <cstdlib>
@@ -17,6 +16,7 @@
 #include "obs/trace.hpp"
 #include "sim/batch_simd.hpp"
 #include "sim/failure_source.hpp"
+#include "sim/replicas.hpp"
 #include "stats/exact_pow.hpp"
 #include "stats/sampler.hpp"
 
@@ -639,26 +639,6 @@ bool classify_policy(const core::CheckpointPolicy& policy,
   return false;
 }
 
-/// The scalar sweep's per-replica body (sweep.cpp), used when the batch
-/// fast path does not apply: results stay identical, just not lockstep.
-void simulate_per_replica(const SimulationConfig& config,
-                          const core::CheckpointPolicy& policy,
-                          const stats::Distribution& inter_arrival,
-                          const io::StorageModel& storage,
-                          std::span<Rng> streams, std::span<RunMetrics> out) {
-  const bool shared_policy = policy.is_stateless();
-  for (std::size_t i = 0; i < streams.size(); ++i) {
-    RenewalFailureSource source(inter_arrival, streams[i]);
-    if (shared_policy) {
-      out[i] = simulate(config, const_cast<core::CheckpointPolicy&>(policy),
-                        source, storage);
-    } else {
-      const core::PolicyPtr replica_policy = policy.clone();
-      out[i] = simulate(config, *replica_policy, source, storage);
-    }
-  }
-}
-
 }  // namespace
 
 bool batch_eligible(const core::CheckpointPolicy& policy,
@@ -687,7 +667,15 @@ void simulate_batch(const SimulationConfig& config,
   const auto* constant = dynamic_cast<const io::ConstantStorage*>(&storage);
   if (constant == nullptr ||
       !classify_policy(policy, config, &mode, &constant_alpha, &shape)) {
-    simulate_per_replica(config, policy, inter_arrival, storage, streams, out);
+    // Not lockstep-eligible: the scalar sweep's per-replica body, with
+    // identical results.
+    for (std::size_t i = 0; i < streams.size(); ++i) {
+      out[i] = detail::with_replica_policy(
+          policy, [&](core::CheckpointPolicy& replica_policy) {
+            RenewalFailureSource source(inter_arrival, streams[i]);
+            return simulate(config, replica_policy, source, storage);
+          });
+    }
     return;
   }
 
@@ -709,22 +697,12 @@ std::vector<RunMetrics> run_replicas_batched(
     const SimulationConfig& config, const core::CheckpointPolicy& policy,
     const stats::Distribution& inter_arrival, const io::StorageModel& storage,
     std::size_t replicas, std::uint64_t seed, std::size_t batch_size) {
-  require(replicas >= 1, "run_replicas_batched needs replicas >= 1");
+  std::vector<Rng> streams =
+      detail::split_streams("run_replicas_batched", replicas, seed);
   require(batch_size >= 1, "run_replicas_batched needs batch_size >= 1");
-
-  // Identical stream derivation to the scalar sweep: split every
-  // replica's stream from the master up front, in index order, before
-  // any dispatch — the batched kernel consumes stream i for replica i,
-  // so results match the scalar sweep replica-for-replica.
-  Rng master(seed);
-  std::vector<Rng> streams;
-  streams.reserve(replicas);
-  for (std::size_t i = 0; i < replicas; ++i) streams.push_back(master.split());
-
-  // Same telemetry shape as the scalar sweep: a replicas_done heartbeat
-  // sampled from an atomic that never feeds back into results.
+  // One heartbeat per finished block (every = 1).
   const bool obs_on = obs::enabled();
-  std::atomic<std::size_t> done{0};
+  detail::Heartbeat heartbeat(detail::Progress::kReplicas, replicas, 1);
 
   std::vector<RunMetrics> results(replicas);
   const std::size_t blocks = (replicas + batch_size - 1) / batch_size;
@@ -742,14 +720,7 @@ std::vector<RunMetrics> run_replicas_batched(
     simulate_batch(config, policy, inter_arrival, storage,
                    std::span<Rng>(streams).subspan(begin, count),
                    std::span<RunMetrics>(results).subspan(begin, count));
-    if (obs_on) {
-      const std::size_t finished =
-          done.fetch_add(count, std::memory_order_relaxed) + count;
-      obs::counter("sim.replicas_done", static_cast<double>(finished));
-      obs::metrics().gauge("sim.replicas_done")
-          .record_max(static_cast<double>(finished));
-      obs::flow_step("spec.flow", obs::current_flow());
-    }
+    heartbeat.finished(count);
   });
   return results;
 }

@@ -1,15 +1,14 @@
 #include "sim/campaign.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <limits>
+#include <span>
 
 #include "common/error.hpp"
 #include "common/fp.hpp"
-#include "common/parallel.hpp"
 #include "common/random.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sim/replicas.hpp"
 
 namespace lazyckpt::sim {
 namespace {
@@ -102,54 +101,15 @@ std::vector<CampaignResult> run_campaign_replicas(
     const CampaignConfig& config, const core::CheckpointPolicy& policy,
     const stats::Distribution& inter_arrival, const io::StorageModel& storage,
     std::size_t replicas, std::uint64_t seed) {
-  require(replicas >= 1, "run_campaign_replicas needs replicas >= 1");
   config.validate();
   const obs::TraceSpan span("sim.run_campaign_replicas");
-
-  // Same determinism discipline as sim::run_replicas_raw: all RNG streams
-  // are split from the master in index order before dispatch, and results
-  // land in index-addressed slots — bit-identical for any thread count.
-  Rng master(seed);
-  std::vector<Rng> streams;
-  streams.reserve(replicas);
-  for (std::size_t i = 0; i < replicas; ++i) streams.push_back(master.split());
-
-  // Same clone-avoidance as run_replicas_raw: the source borrows the
-  // shared distribution on the stack, and a stateless policy (pure
-  // function of the context, concurrency-safe by contract) is shared
-  // across replicas instead of cloned per campaign.
-  // Progress heartbeat, same pattern as run_replicas_raw: observes
-  // completion order, never influences the index-addressed results.
-  const bool obs_on = obs::enabled();
-  const std::size_t heartbeat_every = std::max<std::size_t>(1, replicas / 16);
-  std::atomic<std::size_t> done{0};
-
-  const bool shared_policy = policy.is_stateless();
-  return parallel_map(replicas, [&](std::size_t i) {
-    RenewalFailureSource source(inter_arrival, streams[i]);
-    const auto run = [&]() {
-      if (shared_policy) {
-        return run_campaign(config,
-                            const_cast<core::CheckpointPolicy&>(policy),
-                            source, storage);
-      }
-      const core::PolicyPtr replica_policy = policy.clone();
-      return run_campaign(config, *replica_policy, source, storage);
-    };
-    CampaignResult result = run();
-    if (obs_on) {
-      const std::size_t finished =
-          done.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (finished % heartbeat_every == 0 || finished == replicas) {
-        obs::counter("sim.campaign_replicas_done",
-                     static_cast<double>(finished));
-        obs::metrics().gauge("sim.campaign_replicas_done")
-            .record_max(static_cast<double>(finished));
-        obs::flow_step("spec.flow", obs::current_flow());
-      }
-    }
-    return result;
-  });
+  return detail::run_replicas(
+      "run_campaign_replicas", policy, replicas, seed, 1,
+      detail::Progress::kCampaignReplicas,
+      [&](core::CheckpointPolicy& replica_policy, std::span<Rng> streams) {
+        RenewalFailureSource source(inter_arrival, streams[0]);
+        return run_campaign(config, replica_policy, source, storage);
+      });
 }
 
 CampaignAggregate aggregate_campaigns(

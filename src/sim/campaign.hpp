@@ -52,12 +52,12 @@ CampaignResult run_campaign(const CampaignConfig& config,
                             const io::StorageModel& storage);
 
 /// Run `replicas` independent Monte Carlo campaigns of `policy` under
-/// renewal failures drawn from `inter_arrival`.  Each replica gets a
-/// cloned policy and an independent RNG stream derived from `seed`, in
-/// index order, exactly like sim::run_replicas_raw — so the result is
-/// bit-identical for any LAZYCKPT_THREADS value and two policies evaluated
-/// with the same seed face the same failure arrival times.  This is the
-/// shared code path the campaign benches used to hand-roll.
+/// renewal failures drawn from `inter_arrival`, through the same replica
+/// driver as sim::run_replicas_raw: each replica gets an independent RNG
+/// stream derived from `seed` in index order, and a clone of a stateful
+/// policy (a stateless one is shared).  The result is bit-identical for
+/// any LAZYCKPT_THREADS value, and two policies evaluated with the same
+/// seed face the same failure arrival times.
 std::vector<CampaignResult> run_campaign_replicas(
     const CampaignConfig& config, const core::CheckpointPolicy& policy,
     const stats::Distribution& inter_arrival, const io::StorageModel& storage,

@@ -6,12 +6,12 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/metrics.hpp"
+#include "sim/replicas.hpp"
 
 namespace lazyckpt::sim {
 namespace {
@@ -185,7 +185,6 @@ std::vector<HierarchyRunMetrics> run_hierarchy_replicas_raw(
     const core::CheckpointPolicy& policy,
     const stats::Distribution& inter_arrival, std::size_t replicas,
     std::uint64_t seed) {
-  require(replicas >= 1, "run_hierarchy_replicas needs replicas >= 1");
   const obs::TraceSpan span(
       "sim.run_hierarchy_replicas",
       obs::enabled()
@@ -194,33 +193,16 @@ std::vector<HierarchyRunMetrics> run_hierarchy_replicas_raw(
                 obs::TraceArg::num("tiers",
                                    static_cast<double>(hierarchy.size()))}
           : std::vector<obs::TraceArg>{});
-
-  // Determinism contract (common/parallel.hpp): pre-split every replica's
-  // streams from the master in index order — failure source first, then
-  // severity, matching the historical serial ablation_tiered loop — so
-  // results are bit-identical for any thread count.
-  Rng master(seed);
-  std::vector<Rng> source_streams;
-  std::vector<Rng> severity_streams;
-  source_streams.reserve(replicas);
-  severity_streams.reserve(replicas);
-  for (std::size_t i = 0; i < replicas; ++i) {
-    source_streams.push_back(master.split());
-    severity_streams.push_back(master.split());
-  }
-
-  const bool shared_policy = policy.is_stateless();
-  return parallel_map(replicas, [&](std::size_t i) {
-    RenewalFailureSource source(inter_arrival, source_streams[i]);
-    if (shared_policy) {
-      return simulate_hierarchy(config, hierarchy,
-                                const_cast<core::CheckpointPolicy&>(policy),
-                                source, severity_streams[i]);
-    }
-    const core::PolicyPtr replica_policy = policy.clone();
-    return simulate_hierarchy(config, hierarchy, *replica_policy, source,
-                              severity_streams[i]);
-  });
+  // Two streams per replica, failure source first and then severity —
+  // the historical serial ablation_tiered order.
+  return detail::run_replicas(
+      "run_hierarchy_replicas", policy, replicas, seed, 2,
+      detail::Progress::kReplicas,
+      [&](core::CheckpointPolicy& replica_policy, std::span<Rng> streams) {
+        RenewalFailureSource source(inter_arrival, streams[0]);
+        return simulate_hierarchy(config, hierarchy, replica_policy, source,
+                                  streams[1]);
+      });
 }
 
 HierarchyAggregate aggregate_hierarchy(

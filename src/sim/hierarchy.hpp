@@ -93,7 +93,8 @@ HierarchyRunMetrics simulate_hierarchy(const HierarchyConfig& config,
 /// before dispatch onto the shared parallel engine, so the output is
 /// bit-identical for any LAZYCKPT_THREADS — and identical to a serial loop
 /// doing `master.split()` for the source then `master.split()` for the
-/// severity rng per replica, the historical ablation_tiered order.
+/// severity rng per replica, the historical ablation_tiered order.  Like
+/// the flat sweep, it feeds the `sim.replicas_done` progress heartbeat.
 std::vector<HierarchyRunMetrics> run_hierarchy_replicas_raw(
     const HierarchyConfig& config, const io::StorageHierarchy& hierarchy,
     const core::CheckpointPolicy& policy,

@@ -1,7 +1,5 @@
 #include "sim/sweep.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstddef>
 
@@ -9,9 +7,9 @@
 #include "common/fp.hpp"
 #include "common/parallel.hpp"
 #include "core/policy/periodic.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/batch.hpp"
+#include "sim/replicas.hpp"
 
 namespace lazyckpt::sim {
 
@@ -21,7 +19,6 @@ std::vector<RunMetrics> run_replicas_raw(const SimulationConfig& config,
                                          const io::StorageModel& storage,
                                          std::size_t replicas,
                                          std::uint64_t seed) {
-  require(replicas >= 1, "run_replicas needs replicas >= 1");
   const obs::TraceSpan span(
       "sim.run_replicas",
       obs::enabled()
@@ -41,56 +38,12 @@ std::vector<RunMetrics> run_replicas_raw(const SimulationConfig& config,
     return run_replicas_batched(config, policy, inter_arrival, storage,
                                 replicas, seed, batch);
   }
-
-  // Determinism contract: derive every replica's RNG stream from the
-  // master *before* dispatch, in index order.  The streams (and therefore
-  // the results, written into index-addressed slots by parallel_map) are
-  // identical for any thread count — and identical to what the historical
-  // serial loop produced, since split() never depended on the simulations
-  // interleaved between the calls.
-  Rng master(seed);
-  std::vector<Rng> streams;
-  streams.reserve(replicas);
-  for (std::size_t i = 0; i < replicas; ++i) streams.push_back(master.split());
-
-  // Per-replica heap churn is confined to stateful policies: the failure
-  // source is stack-constructed borrowing the shared distribution (no
-  // clone), and a stateless policy — pure function of the context, safe
-  // for concurrent calls — is shared across all replicas.  A stateless
-  // policy is never written through, so shedding the const qualifier to
-  // match simulate()'s signature is sound.
-  // Progress heartbeat: a counter track sampled roughly sixteen times per
-  // sweep.  The shared atomic is telemetry-only — results are addressed by
-  // index, so completion order (which the heartbeat observes) never feeds
-  // back into them.
-  const bool obs_on = obs::enabled();
-  const std::size_t heartbeat_every = std::max<std::size_t>(1, replicas / 16);
-  std::atomic<std::size_t> done{0};
-
-  const bool shared_policy = policy.is_stateless();
-  return parallel_map(replicas, [&](std::size_t i) {
-    RenewalFailureSource source(inter_arrival, streams[i]);
-    const auto run = [&]() {
-      if (shared_policy) {
-        return simulate(config, const_cast<core::CheckpointPolicy&>(policy),
-                        source, storage);
-      }
-      const core::PolicyPtr replica_policy = policy.clone();
-      return simulate(config, *replica_policy, source, storage);
-    };
-    RunMetrics metrics = run();
-    if (obs_on) {
-      const std::size_t finished =
-          done.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (finished % heartbeat_every == 0 || finished == replicas) {
-        obs::counter("sim.replicas_done", static_cast<double>(finished));
-        obs::metrics().gauge("sim.replicas_done")
-            .record_max(static_cast<double>(finished));
-        obs::flow_step("spec.flow", obs::current_flow());
-      }
-    }
-    return metrics;
-  });
+  return detail::run_replicas(
+      "run_replicas", policy, replicas, seed, 1, detail::Progress::kReplicas,
+      [&](core::CheckpointPolicy& replica_policy, std::span<Rng> streams) {
+        RenewalFailureSource source(inter_arrival, streams[0]);
+        return simulate(config, replica_policy, source, storage);
+      });
 }
 
 AggregateMetrics run_replicas(const SimulationConfig& config,

@@ -158,6 +158,29 @@ TEST(TraceToolJson, RejectsNonJsonTimestamps) {
   }
 }
 
+TEST(TraceToolJson, RejectsNonNumericFlowIds) {
+  const tracetool::ParsedTrace numeric =
+      tracetool::parse_trace(one_event_trace("\"ts\": 1, \"id\": \"12\""));
+  ASSERT_EQ(numeric.events.size(), 1u);
+  EXPECT_EQ(numeric.events[0].flow_id, 12u);
+  for (const char* id : {"zz", "", "12x", "-1", " 1", "+1",
+                         "99999999999999999999"}) {
+    EXPECT_THROW((void)tracetool::parse_trace(one_event_trace(
+                     std::string("\"ts\": 1, \"id\": \"") + id + "\"")),
+                 tracetool::ParseError)
+        << id;
+  }
+  // "zz" once read as flow 0, so this begin/end pair validated as one
+  // balanced flow.
+  const std::string paired =
+      "{\"traceEvents\": ["
+      "{\"name\": \"f\", \"ph\": \"s\", \"pid\": 1, \"tid\": 0, "
+      "\"ts\": 1, \"id\": \"zz\"}, "
+      "{\"name\": \"f\", \"ph\": \"f\", \"pid\": 1, \"tid\": 0, "
+      "\"ts\": 2, \"id\": \"0\"}]}";
+  EXPECT_THROW((void)tracetool::parse_trace(paired), tracetool::ParseError);
+}
+
 TEST(TraceToolJson, ArgsKeepTheirCanonicalSpelling) {
   const tracetool::ParsedTrace trace = tracetool::parse_trace(one_event_trace(
       "\"ts\": 1, \"args\": {\"s\": \"t\\u0041b\", \"n\": 2.5, \"t\": true, "

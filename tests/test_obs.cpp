@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -25,6 +26,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/random.hpp"
@@ -599,6 +601,63 @@ TEST_F(ObsTest, HierarchyRunsFlushEngineCounters) {
   ASSERT_NE(level, nullptr);
   EXPECT_EQ(level->count, restores_before + failures);
   EXPECT_EQ(level->bucket_bounds, (std::vector<double>{0.0, 1.0, 2.0, 3.0}));
+}
+
+/// Tiered sweeps run through the same replica driver as flat ones, so they
+/// feed the same `sim.replicas_done` heartbeat the progress ticker reads:
+/// the gauge ends at the replica count and the counter track's last sample
+/// is that count too.
+TEST_F(ObsTest, HierarchyRunsFeedTheReplicasDoneHeartbeat) {
+  obs::set_enabled(true);
+  const auto hierarchy =
+      io::make_hierarchy("bb:beta=0.05,survivable=0.8|pfs:beta=0.5,every=4");
+  sim::HierarchyConfig config;
+  config.compute_hours = 120.0;
+  config.alpha_oci_hours = core::daly_oci(0.05, 11.0);
+  config.mtbf_hint_hours = 11.0;
+  config.shape_hint = 0.6;
+  const auto policy = core::make_policy("ilazy:0.6");
+  const stats::Exponential mtbf = stats::Exponential::from_mean(11.0);
+
+  obs::Gauge& done = obs::metrics().gauge("sim.replicas_done");
+  done.reset();
+  constexpr std::size_t kReplicas = 40;
+  (void)sim::run_hierarchy_replicas_raw(config, hierarchy, *policy, mtbf,
+                                        kReplicas, 77);
+  EXPECT_GE(done.value(), static_cast<double>(kReplicas));
+
+  double last_sample = 0.0;
+  for (const obs::TraceEvent& event : obs::drain_events()) {
+    if (event.kind == obs::EventKind::kCounter &&
+        std::string(event.name) == "sim.replicas_done") {
+      last_sample = std::max(last_sample, event.value);
+    }
+  }
+  EXPECT_EQ(last_sample, static_cast<double>(kReplicas));
+}
+
+/// String arguments go through the one JSON escaper: tab and newline come
+/// out escaped, and lazyckpt-trace reads the original bytes back.
+TEST_F(ObsTest, StringArgsEscapeControlBytesAndRoundTrip) {
+  obs::FakeClock clock;
+  const obs::ScopedClockOverride override_scope(clock);
+  obs::set_enabled(true);
+
+  clock.set_ns(1'000);
+  obs::record_begin("alpha", {obs::TraceArg::str("label", "a\tb\nc")});
+  clock.set_ns(2'000);
+  obs::record_end("alpha");
+
+  const std::string json = obs::render_chrome_trace(obs::drain_events());
+  EXPECT_NE(json.find("\"args\": {\"label\": \"a\\tb\\nc\"}"),
+            std::string::npos)
+      << json;
+  const tracetool::ParsedTrace trace = tracetool::parse_trace(json);
+  ASSERT_EQ(trace.events.size(), 2u);
+  EXPECT_TRUE(tracetool::validate(trace).empty());
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"label", "a\tb\nc"}};
+  EXPECT_EQ(trace.events[0].args, expected);
 }
 
 /// The ISSUE's cross-thread flow contract: a ScopedFlow opened on the main

@@ -24,6 +24,7 @@
 /// Exit status: 0 gate passed, 1 gate failed (a report that does not
 /// parse fails it too), 2 usage or I/O error.
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -90,7 +91,16 @@ int main(int argc, char** argv) {
     } else if (arg == "--fresh") {
       fresh_path = next_value("--fresh");
     } else if (arg == "--min-ratio") {
-      options.min_ratio = std::atof(next_value("--min-ratio"));
+      const char* text = next_value("--min-ratio");
+      char* end = nullptr;
+      options.min_ratio = std::strtod(text, &end);
+      if (end == text || *end != '\0' || !std::isfinite(options.min_ratio)) {
+        std::fprintf(stderr,
+                     "lazyckpt-bench-gate: --min-ratio needs a number, "
+                     "got '%s'\n",
+                     text);
+        return 2;
+      }
       min_ratio_given = true;
     } else if (arg == "--smoke") {
       options.smoke = true;

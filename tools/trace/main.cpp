@@ -81,8 +81,10 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--top") {
       if (i + 1 >= argc) return usage(std::cerr, 2);
-      const long value = std::strtol(argv[++i], nullptr, 10);
-      if (value <= 0) {
+      const char* text = argv[++i];
+      char* end = nullptr;
+      const long value = std::strtol(text, &end, 10);
+      if (end == text || *end != '\0' || value <= 0) {
         std::cerr << "lazyckpt-trace: --top needs a positive integer\n";
         return 2;
       }

@@ -1,11 +1,12 @@
 #include "trace_tool.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <set>
+#include <system_error>
 
 namespace lazyckpt::tracetool {
 namespace {
@@ -54,7 +55,12 @@ Event parse_event(json::Reader& reader) {
       // spellings (src/obs emits numbers).
       if (reader.peek_kind() == json::Kind::kString) {
         const std::string id = reader.parse_string();
-        event.flow_id = std::strtoull(id.c_str(), nullptr, 10);
+        const char* end = id.data() + id.size();
+        const auto [stop, error] =
+            std::from_chars(id.data(), end, event.flow_id);
+        if (error != std::errc{} || stop != end) {
+          reader.fail("flow id \"" + id + "\" is not an unsigned integer");
+        }
       } else {
         event.flow_id = reader.parse_uint64();
       }
