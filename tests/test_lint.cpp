@@ -782,6 +782,29 @@ bool f(int a, int b, double x, double y) {
   EXPECT_TRUE(lint_at("src/sim/engine.cpp", clean).empty());
 }
 
+TEST(LintFloatCompareVar, StaticCastInitializerHasTheCastType) {
+  // `auto first = static_cast<T>(...)` has type T, whatever floating
+  // arithmetic its operand does.
+  const std::string clean = R"(
+bool f(double x, std::size_t n) {
+  const auto first = static_cast<std::size_t>(x * 2.0);
+  if (first == n) return true;
+  return false;
+}
+)";
+  EXPECT_TRUE(lint_at("src/sim/engine.cpp", clean).empty());
+  const std::string violating = R"(
+bool f(int n, double y) {
+  const auto half = static_cast<double>(n);
+  return half == y;
+}
+)";
+  const auto findings = lint_at("src/sim/engine.cpp", violating);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, lint::Rule::kFloatCompareVar);
+  EXPECT_EQ(findings[0].line, 4);
+}
+
 TEST(LintFloatCompareVar, LiteralRuleKeepsItsLines) {
   // A float literal on the line is kFloatCompare's claim; the variable
   // rule must not double-report it.

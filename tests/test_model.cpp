@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/random.hpp"
@@ -209,13 +213,169 @@ TEST(Bounds, RespectsMaxStretch) {
 }
 
 TEST(Bounds, RejectsBadParams) {
+  // Both overloads check the same parameters with the same messages.
   const auto weibull = stats::Weibull::from_mtbf_and_shape(11.0, 0.6);
-  EXPECT_THROW(max_lazy_interval(weibull, -1.0, {2.98, 0.5, 64.0}),
-               InvalidArgument);
-  EXPECT_THROW(max_lazy_interval(weibull, 1.0, {0.0, 0.5, 64.0}),
-               InvalidArgument);
-  EXPECT_THROW(max_lazy_interval(weibull, 1.0, {2.98, 0.5, 0.5}),
-               InvalidArgument);
+  const stats::Distribution& generic = weibull;
+  const auto message = [](auto&& call) {
+    try {
+      call();
+    } catch (const InvalidArgument& e) {
+      return std::string(e.what());
+    }
+    ADD_FAILURE() << "no InvalidArgument thrown";
+    return std::string();
+  };
+  const std::pair<double, IntervalBoundParams> bad[] = {
+      {-1.0, {2.98, 0.5, 64.0}},
+      {1.0, {0.0, 0.5, 64.0}},
+      {1.0, {2.98, 0.0, 64.0}},
+      {1.0, {2.98, 0.5, 0.5}},
+  };
+  for (const auto& [t, params] : bad) {
+    const std::string from_weibull =
+        message([&] { (void)max_lazy_interval(weibull, t, params); });
+    const std::string from_generic =
+        message([&] { (void)max_lazy_interval(generic, t, params); });
+    EXPECT_FALSE(from_weibull.empty());
+    EXPECT_EQ(from_weibull, from_generic);
+  }
+  EXPECT_NE(message([&] {
+              (void)max_lazy_interval(weibull, 1.0, {2.98, 0.5, 0.5});
+            }).find("IntervalBoundParams.max_stretch >= 1"),
+            std::string::npos);
+}
+
+/// The Weibull overload and the generic one through a `Distribution&`,
+/// compared bit for bit.
+bool same_bits(const stats::Weibull& weibull, double t,
+               const IntervalBoundParams& params) {
+  const stats::Distribution& generic = weibull;
+  const double fast = max_lazy_interval(weibull, t, params);
+  const double oracle = max_lazy_interval(generic, t, params);
+  return std::memcmp(&fast, &oracle, sizeof(double)) == 0;
+}
+
+double log_uniform(Rng& rng, double lo, double hi) {
+  return std::exp(rng.uniform_in(std::log(lo), std::log(hi)));
+}
+
+/// t whose cumulative hazard (t/λ)^k is log-uniform over [1e-8, 800], or
+/// t = 0 one time in 16.
+double random_time_since_failure(Rng& rng, const stats::Weibull& weibull) {
+  if (rng.uniform_index(16) == 0) return 0.0;
+  const double cumulative_hazard = log_uniform(rng, 1e-8, 800.0);
+  return weibull.scale() * std::pow(cumulative_hazard, 1.0 / weibull.shape());
+}
+
+stats::Weibull random_weibull(Rng& rng) {
+  const double shape =
+      rng.uniform_index(8) == 0 ? 1.0 : rng.uniform_in(0.2, 1.0);
+  return stats::Weibull::from_mtbf_and_shape(log_uniform(rng, 0.5, 200.0),
+                                             shape);
+}
+
+double random_max_stretch(Rng& rng) {
+  return rng.uniform_index(2) == 0 ? 64.0 : rng.uniform_in(1.0, 4.0);
+}
+
+TEST(Bounds, WeibullOverloadMatchesGenericBitwiseOnRandomInputs) {
+  Rng rng(0x0b59ca9ULL);
+  constexpr int kCases = 200000;
+  int mismatches = 0;
+  for (int i = 0; i < kCases; ++i) {
+    const auto weibull = random_weibull(rng);
+    const double t = random_time_since_failure(rng, weibull);
+    const double oci = log_uniform(rng, 0.1, 20.0);
+    double ratio = 0.0;  // β/α_oci
+    switch (rng.uniform_index(3)) {
+      case 0: ratio = rng.uniform_positive(); break;
+      case 1: ratio = log_uniform(rng, 1e-6, 1.0); break;
+      default: ratio = rng.uniform_in(1.0, 4.0); break;
+    }
+    const IntervalBoundParams params{oci, ratio * oci, random_max_stretch(rng)};
+    if (!same_bits(weibull, t, params) && ++mismatches <= 5) {
+      ADD_FAILURE() << "k=" << weibull.shape() << " scale=" << weibull.scale()
+                    << " t=" << t << " oci=" << oci
+                    << " beta=" << params.checkpoint_time_hours
+                    << " max_stretch=" << params.max_stretch;
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << kCases;
+}
+
+TEST(Bounds, WeibullOverloadMatchesGenericBitwiseNearTheFrontier) {
+  // Choose the frontier α* first, then place α_oci so that α* lands within
+  // a relative 1e-16..1e-4 of α_oci, of max_stretch·α_oci, or of a
+  // bisection midpoint between them: the decisions the guard band exists
+  // for.
+  Rng rng(0xf21f21ULL);
+  constexpr int kCases = 200000;
+  int mismatches = 0;
+  for (int i = 0; i < kCases; ++i) {
+    const auto weibull = random_weibull(rng);
+    const double k = weibull.shape();
+    const double t = random_time_since_failure(rng, weibull);
+    const double p0 = rng.uniform_index(16) == 0
+                          ? rng.uniform_in(0.5, 1.0)
+                          : log_uniform(rng, 1e-6, 0.5);
+    const double h_t = std::pow(t / weibull.scale(), k);
+    const double frontier =
+        weibull.scale() * std::pow(h_t - std::log1p(-p0), 1.0 / k) - t;
+    const double max_stretch = random_max_stretch(rng);
+    double multiple = 1.0;  // α* / α_oci before the nudge
+    switch (rng.uniform_index(3)) {
+      case 0: break;
+      case 1: multiple = max_stretch; break;
+      default: {
+        const int depth = 1 + static_cast<int>(rng.uniform_index(30));
+        const double odd = static_cast<double>(
+            2 * rng.uniform_index(std::uint64_t{1} << (depth - 1)) + 1);
+        multiple = 1.0 + (max_stretch - 1.0) * std::ldexp(odd, -depth);
+        break;
+      }
+    }
+    const double nudge = (rng.uniform_index(2) == 0 ? 1.0 : -1.0) *
+                         log_uniform(rng, 1e-16, 1e-4);
+    const double oci = frontier / (multiple * (1.0 + nudge));
+    if (!(oci > 0.0) || !std::isfinite(oci)) continue;
+    const IntervalBoundParams params{oci, p0 * oci, max_stretch};
+    if (!(params.checkpoint_time_hours > 0.0)) continue;
+    if (!same_bits(weibull, t, params) && ++mismatches <= 5) {
+      ADD_FAILURE() << "k=" << k << " scale=" << weibull.scale()
+                    << " t=" << t << " oci=" << oci
+                    << " beta=" << params.checkpoint_time_hours
+                    << " max_stretch=" << max_stretch;
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << kCases;
+}
+
+TEST(Bounds, WeibullOverloadEdgeCasesMatchGenericBitwise) {
+  const auto weibull = stats::Weibull::from_mtbf_and_shape(11.0, 0.6);
+  // p0 = β/α_oci just above 1/2: the overload falls back to bisection.
+  EXPECT_TRUE(same_bits(weibull, 5.0,
+                        {2.0, std::nextafter(1.0, 2.0), 64.0}));
+  EXPECT_TRUE(same_bits(weibull, 5.0, {2.0, 1.0, 64.0}));
+  // t = 0: H(t) = 0 and S(t) = 1.
+  EXPECT_TRUE(same_bits(weibull, 0.0, {2.98, 0.5, 64.0}));
+  // Deep tail: 1 − F(t) is one ulp of 1 or rounds to 0 (H(t) near 37),
+  // and S(t) lies below the 1e-200 cutoff (H(t) = 500, 800).
+  for (const double cumulative_hazard : {36.0, 37.5, 500.0, 800.0}) {
+    const double t =
+        weibull.scale() * std::pow(cumulative_hazard, 1.0 / weibull.shape());
+    EXPECT_TRUE(same_bits(weibull, t, {2.98, 0.5, 64.0}));
+  }
+  // k = 1: the exponential case of the closed form.
+  const auto memoryless = stats::Weibull::from_mtbf_and_shape(11.0, 1.0);
+  for (const double t : {0.0, 3.0, 40.0}) {
+    EXPECT_TRUE(same_bits(memoryless, t, {2.98, 0.5, 64.0}));
+  }
+  // max_stretch = 1: the cap is α_oci itself, always admissible.
+  for (const double t : {0.0, 1.0, 50.0}) {
+    const IntervalBoundParams params{2.98, 0.5, 1.0};
+    EXPECT_TRUE(same_bits(weibull, t, params));
+    EXPECT_EQ(max_lazy_interval(weibull, t, params), 2.98);
+  }
 }
 
 // ---------------------------------------------------------------- machine

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <map>
+#include <optional>
 #include <set>
 
 namespace lazyckpt::lint {
@@ -143,6 +144,36 @@ FloatVarScan scan_float_vars(const TokenStream& ts) {
     return is_float;
   };
 
+  /// When the initializer [from, stop) is exactly `static_cast<T>(...)`,
+  /// its type is T whatever the operand: returns whether T is floating
+  /// (and not a pointer).  Returns nullopt for any other initializer.
+  const auto static_cast_is_float =
+      [&](std::size_t from, std::size_t stop) -> std::optional<bool> {
+    if (spelling(from) != "static_cast" || spelling(from + 1) != "<") {
+      return std::nullopt;
+    }
+    bool float_seen = false;
+    bool pointer = false;
+    int angle = 1;
+    std::size_t k = from + 2;
+    for (; k < stop && angle > 0; ++k) {
+      const std::string_view s = spelling(k);
+      if (s == "<") ++angle;
+      if (s == ">") --angle;
+      if (s == ">>") angle -= 2;
+      if (angle == 1 && s == "*") pointer = true;
+      if (angle == 1 && is_float_type_name(s)) float_seen = true;
+    }
+    if (angle != 0 || spelling(k) != "(") return std::nullopt;
+    int depth = 0;
+    for (; k < stop; ++k) {
+      if (spelling(k) == "(") ++depth;
+      if (spelling(k) == ")" && --depth == 0) break;
+    }
+    if (k + 1 != stop) return std::nullopt;  // the cast is only a part
+    return float_seen && !pointer;
+  };
+
   for (std::size_t ci = 0; ci < code.size(); ++ci) {
     const Token& t = tok(ci);
     if (t.kind == TokenKind::kPunct) {
@@ -213,7 +244,10 @@ FloatVarScan scan_float_vars(const TokenStream& ts) {
           !is_keyword(tok(j).spelling) && spelling(j + 1) == "=" &&
           spelling(j + 2) != "[") {  // `= [` binds a lambda, not a value
         std::size_t stop = j;
-        const bool is_float = initializer_is_float(j + 2, &stop);
+        bool is_float = initializer_is_float(j + 2, &stop);
+        if (const auto cast = static_cast_is_float(j + 2, stop)) {
+          is_float = *cast;
+        }
         declared_name_tokens.insert(code[j]);
         declare(tok(j).spelling, is_float, tok(j).line);
         ci = stop;
