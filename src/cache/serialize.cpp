@@ -32,6 +32,21 @@ void append_u64(std::string* out, std::uint64_t value) {
   *out += std::to_string(value);
 }
 
+/// Append ` <value>` for every row of `table`, in table order: counts in
+/// decimal, doubles as hexfloats.
+template <class S, class Table>
+void append_values(std::string* out, const Table& table, const S& s) {
+  for (const auto& row : table) {
+    const sim::Member<S> member = row.member;
+    *out += ' ';
+    if (member.count != nullptr) {
+      append_u64(out, s.*member.count);
+    } else {
+      *out += hex_double(s.*member.real);
+    }
+  }
+}
+
 std::string payload_for(const spec::ScenarioResult& result) {
   const std::string scenario_text = spec::to_string(result.scenario);
 
@@ -41,61 +56,29 @@ std::string payload_for(const spec::ScenarioResult& result) {
   p += "scenario-bytes = " + std::to_string(scenario_text.size()) + "\n";
   p += scenario_text;  // canonical form always ends in '\n'
 
-  const auto& a = result.aggregate;
   p += "aggregate = ";
-  append_u64(&p, a.replicas);
-  for (const double v :
-       {a.mean_makespan_hours, a.min_makespan_hours, a.max_makespan_hours,
-        a.mean_compute_hours, a.mean_checkpoint_hours, a.min_checkpoint_hours,
-        a.max_checkpoint_hours, a.mean_wasted_hours, a.mean_restart_hours,
-        a.mean_failures, a.mean_checkpoints_written,
-        a.mean_checkpoints_skipped, a.mean_data_written_gb}) {
-    p += ' ';
-    p += hex_double(v);
-  }
+  append_u64(&p, result.aggregate.replicas);
+  append_values(&p, sim::kAggregateFields, result.aggregate);
   p += '\n';
 
   p += "runs = " + std::to_string(result.runs.size()) + "\n";
   for (const auto& run : result.runs) {
     p += "run =";
-    for (const double v : {run.makespan_hours, run.compute_hours,
-                           run.checkpoint_hours, run.wasted_hours,
-                           run.restart_hours}) {
-      p += ' ';
-      p += hex_double(v);
-    }
-    for (const std::uint64_t v :
-         {run.failures, run.checkpoints_written, run.checkpoints_skipped}) {
-      p += ' ';
-      append_u64(&p, v);
-    }
-    p += ' ';
-    p += hex_double(run.data_written_gb);
+    append_values(&p, sim::kRunFields, run);
     p += ' ';
     p += std::to_string(run.timeline.size());
     p += '\n';
     for (const auto& tp : run.timeline) {
       p += "tp =";
-      for (const double v : {tp.time_hours, tp.compute_hours,
-                             tp.checkpoint_hours, tp.wasted_hours,
-                             tp.restart_hours}) {
-        p += ' ';
-        p += hex_double(v);
-      }
+      append_values(&p, sim::kTimelineFields, tp);
       p += '\n';
     }
   }
 
   if (result.campaign.has_value()) {
-    const auto& c = *result.campaign;
     p += "campaign = ";
-    append_u64(&p, c.replicas);
-    for (const double v :
-         {c.mean_allocations, c.mean_machine_hours, c.mean_committed_hours,
-          c.mean_checkpoint_hours, c.completion_rate}) {
-      p += ' ';
-      p += hex_double(v);
-    }
+    append_u64(&p, result.campaign->replicas);
+    append_values(&p, sim::kCampaignFields, *result.campaign);
     p += '\n';
   } else {
     p += "campaign = none\n";
@@ -105,13 +88,7 @@ std::string payload_for(const spec::ScenarioResult& result) {
     const auto& h = *result.hierarchy;
     p += "hierarchy = ";
     append_u64(&p, h.replicas);
-    for (const double v :
-         {h.mean_makespan_hours, h.mean_compute_hours, h.mean_wasted_hours,
-          h.mean_restart_hours, h.mean_failures,
-          h.mean_checkpoints_skipped}) {
-      p += ' ';
-      p += hex_double(v);
-    }
+    append_values(&p, sim::kHierarchyFields, h);
     p += ' ';
     p += std::to_string(h.tiers.size());
     p += '\n';
@@ -119,11 +96,7 @@ std::string payload_for(const spec::ScenarioResult& result) {
       // Tier kinds are [A-Za-z0-9_.-] registry names (never spaces), so
       // they are safe as space-separated tokens.
       p += "htier = " + tier.kind;
-      for (const double v :
-           {tier.mean_io_hours, tier.mean_checkpoints, tier.mean_restarts}) {
-        p += ' ';
-        p += hex_double(v);
-      }
+      append_values(&p, sim::kTierFields, tier);
       p += '\n';
     }
   } else {
@@ -224,6 +197,20 @@ bool parse_size(std::string_view token, std::size_t* out) {
   return true;
 }
 
+/// Parse one token per row of `table`, starting at `tokens`, into `s`.
+template <class S, class Table>
+bool parse_values(const std::string_view* tokens, const Table& table, S* s) {
+  for (const auto& row : table) {
+    const sim::Member<S> member = row.member;
+    const bool parsed = member.count != nullptr
+                            ? parse_u64(*tokens, &(s->*member.count))
+                            : parse_hex_double(*tokens, &(s->*member.real));
+    if (!parsed) return false;
+    ++tokens;
+  }
+  return true;
+}
+
 DeserializeOutcome reject(const std::string& why) {
   DeserializeOutcome out;
   out.error = why;
@@ -312,34 +299,22 @@ DeserializeOutcome deserialize_result(std::string_view bytes) {
     return reject(std::string("embedded scenario rejected: ") + error.what());
   }
 
-  // Aggregate: replica count + 13 doubles in fixed order.
+  // Aggregate: replica count, then one value per table row.
+  constexpr std::size_t kAggregateTokens = 1 + sim::kAggregateFields.size();
   if (!reader.next_line(&line)) return reject(reader.error());
-  if (!parse_fields(line, "aggregate", &fields) || fields.size() != 14) {
+  if (!parse_fields(line, "aggregate", &fields) ||
+      fields.size() != kAggregateTokens) {
     return reject("malformed aggregate line");
   }
-  {
-    auto& a = result.aggregate;
-    std::uint64_t replicas = 0;
-    if (!parse_u64(fields[0], &replicas)) {
-      return reject("malformed aggregate replica count");
-    }
-    a.replicas = static_cast<std::size_t>(replicas);
-    double* const targets[13] = {
-        &a.mean_makespan_hours,      &a.min_makespan_hours,
-        &a.max_makespan_hours,       &a.mean_compute_hours,
-        &a.mean_checkpoint_hours,    &a.min_checkpoint_hours,
-        &a.max_checkpoint_hours,     &a.mean_wasted_hours,
-        &a.mean_restart_hours,       &a.mean_failures,
-        &a.mean_checkpoints_written, &a.mean_checkpoints_skipped,
-        &a.mean_data_written_gb};
-    for (std::size_t i = 0; i < 13; ++i) {
-      if (!parse_hex_double(fields[i + 1], targets[i])) {
-        return reject("malformed aggregate field");
-      }
-    }
+  if (!parse_size(fields[0], &result.aggregate.replicas)) {
+    return reject("malformed aggregate replica count");
+  }
+  if (!parse_values(&fields[1], sim::kAggregateFields, &result.aggregate)) {
+    return reject("malformed aggregate field");
   }
 
-  // Per-replica runs with optional timelines.
+  // Per-replica runs, each followed by its timeline count and points.
+  constexpr std::size_t kRunTokens = sim::kRunFields.size() + 1;
   if (!reader.next_line(&line)) return reject(reader.error());
   std::size_t run_count = 0;
   if (!parse_fields(line, "runs", &fields) || fields.size() != 1 ||
@@ -349,42 +324,27 @@ DeserializeOutcome deserialize_result(std::string_view bytes) {
   result.runs.reserve(run_count);
   for (std::size_t r = 0; r < run_count; ++r) {
     if (!reader.next_line(&line)) return reject(reader.error());
-    if (!parse_fields(line, "run", &fields) || fields.size() != 10) {
+    if (!parse_fields(line, "run", &fields) || fields.size() != kRunTokens) {
       return reject("malformed run line");
     }
     sim::RunMetrics run{};
-    double* const doubles[5] = {&run.makespan_hours, &run.compute_hours,
-                                &run.checkpoint_hours, &run.wasted_hours,
-                                &run.restart_hours};
-    for (std::size_t i = 0; i < 5; ++i) {
-      if (!parse_hex_double(fields[i], doubles[i])) {
-        return reject("malformed run field");
-      }
-    }
-    if (!parse_u64(fields[5], &run.failures) ||
-        !parse_u64(fields[6], &run.checkpoints_written) ||
-        !parse_u64(fields[7], &run.checkpoints_skipped) ||
-        !parse_hex_double(fields[8], &run.data_written_gb)) {
+    if (!parse_values(&fields[0], sim::kRunFields, &run)) {
       return reject("malformed run field");
     }
     std::size_t timeline_count = 0;
-    if (!parse_size(fields[9], &timeline_count)) {
+    if (!parse_size(fields[kRunTokens - 1], &timeline_count)) {
       return reject("malformed run timeline count");
     }
     run.timeline.reserve(timeline_count);
     for (std::size_t t = 0; t < timeline_count; ++t) {
       if (!reader.next_line(&line)) return reject(reader.error());
-      if (!parse_fields(line, "tp", &fields) || fields.size() != 5) {
+      if (!parse_fields(line, "tp", &fields) ||
+          fields.size() != sim::kTimelineFields.size()) {
         return reject("malformed timeline line");
       }
       sim::TimelinePoint tp{};
-      double* const points[5] = {&tp.time_hours, &tp.compute_hours,
-                                 &tp.checkpoint_hours, &tp.wasted_hours,
-                                 &tp.restart_hours};
-      for (std::size_t i = 0; i < 5; ++i) {
-        if (!parse_hex_double(fields[i], points[i])) {
-          return reject("malformed timeline field");
-        }
+      if (!parse_values(&fields[0], sim::kTimelineFields, &tp)) {
+        return reject("malformed timeline field");
       }
       run.timeline.push_back(tp);
     }
@@ -392,26 +352,20 @@ DeserializeOutcome deserialize_result(std::string_view bytes) {
   }
 
   // Campaign summary (or the explicit "none").
+  constexpr std::size_t kCampaignTokens = 1 + sim::kCampaignFields.size();
   if (!reader.next_line(&line)) return reject(reader.error());
   if (!parse_fields(line, "campaign", &fields)) {
     return reject("malformed campaign line");
   }
   if (fields.size() == 1 && fields[0] == "none") {
     result.campaign.reset();
-  } else if (fields.size() == 6) {
+  } else if (fields.size() == kCampaignTokens) {
     sim::CampaignAggregate c{};
-    std::uint64_t replicas = 0;
-    if (!parse_u64(fields[0], &replicas)) {
+    if (!parse_size(fields[0], &c.replicas)) {
       return reject("malformed campaign replica count");
     }
-    c.replicas = static_cast<std::size_t>(replicas);
-    double* const targets[5] = {&c.mean_allocations, &c.mean_machine_hours,
-                                &c.mean_committed_hours,
-                                &c.mean_checkpoint_hours, &c.completion_rate};
-    for (std::size_t i = 0; i < 5; ++i) {
-      if (!parse_hex_double(fields[i + 1], targets[i])) {
-        return reject("malformed campaign field");
-      }
+    if (!parse_values(&fields[1], sim::kCampaignFields, &c)) {
+      return reject("malformed campaign field");
     }
     result.campaign = c;
   } else {
@@ -419,42 +373,36 @@ DeserializeOutcome deserialize_result(std::string_view bytes) {
   }
 
   // Per-tier hierarchy summary (or the explicit "none").
+  constexpr std::size_t kHierarchyTokens = 2 + sim::kHierarchyFields.size();
+  constexpr std::size_t kTierTokens = 1 + sim::kTierFields.size();
   if (!reader.next_line(&line)) return reject(reader.error());
   if (!parse_fields(line, "hierarchy", &fields)) {
     return reject("malformed hierarchy line");
   }
   if (fields.size() == 1 && fields[0] == "none") {
     result.hierarchy.reset();
-  } else if (fields.size() == 8) {
+  } else if (fields.size() == kHierarchyTokens) {
     sim::HierarchyAggregate h{};
-    std::uint64_t replicas = 0;
-    if (!parse_u64(fields[0], &replicas)) {
+    if (!parse_size(fields[0], &h.replicas)) {
       return reject("malformed hierarchy replica count");
     }
-    h.replicas = static_cast<std::size_t>(replicas);
-    double* const targets[6] = {&h.mean_makespan_hours, &h.mean_compute_hours,
-                                &h.mean_wasted_hours, &h.mean_restart_hours,
-                                &h.mean_failures, &h.mean_checkpoints_skipped};
-    for (std::size_t i = 0; i < 6; ++i) {
-      if (!parse_hex_double(fields[i + 1], targets[i])) {
-        return reject("malformed hierarchy field");
-      }
+    if (!parse_values(&fields[1], sim::kHierarchyFields, &h)) {
+      return reject("malformed hierarchy field");
     }
     std::size_t tier_count = 0;
-    if (!parse_size(fields[7], &tier_count)) {
+    if (!parse_size(fields[kHierarchyTokens - 1], &tier_count)) {
       return reject("malformed hierarchy tier count");
     }
     h.tiers.reserve(tier_count);
     for (std::size_t t = 0; t < tier_count; ++t) {
       if (!reader.next_line(&line)) return reject(reader.error());
-      if (!parse_fields(line, "htier", &fields) || fields.size() != 4) {
+      if (!parse_fields(line, "htier", &fields) ||
+          fields.size() != kTierTokens) {
         return reject("malformed htier line");
       }
       sim::TierAggregate tier{};
       tier.kind = std::string(fields[0]);
-      if (!parse_hex_double(fields[1], &tier.mean_io_hours) ||
-          !parse_hex_double(fields[2], &tier.mean_checkpoints) ||
-          !parse_hex_double(fields[3], &tier.mean_restarts)) {
+      if (!parse_values(&fields[1], sim::kTierFields, &tier)) {
         return reject("malformed htier field");
       }
       h.tiers.push_back(std::move(tier));

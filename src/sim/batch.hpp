@@ -36,6 +36,7 @@
 /// the contract char-for-char on the 72 golden configs, timelines
 /// included, for batch sizes {1, 8, 64} × thread counts {1, 2, 8}.
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>

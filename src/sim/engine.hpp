@@ -9,6 +9,7 @@
 /// completed checkpoints commit work; failures roll the application back
 /// to its last committed state and cost a restart.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 

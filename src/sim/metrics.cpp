@@ -1,7 +1,5 @@
 #include "sim/metrics.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 
 namespace lazyckpt::sim {
@@ -10,42 +8,7 @@ AggregateMetrics aggregate(std::span<const RunMetrics> runs) {
   require(!runs.empty(), "aggregate needs at least one run");
   AggregateMetrics agg;
   agg.replicas = runs.size();
-  agg.min_makespan_hours = runs.front().makespan_hours;
-  agg.max_makespan_hours = runs.front().makespan_hours;
-  agg.min_checkpoint_hours = runs.front().checkpoint_hours;
-  agg.max_checkpoint_hours = runs.front().checkpoint_hours;
-
-  for (const auto& run : runs) {
-    agg.mean_makespan_hours += run.makespan_hours;
-    agg.mean_compute_hours += run.compute_hours;
-    agg.mean_checkpoint_hours += run.checkpoint_hours;
-    agg.mean_wasted_hours += run.wasted_hours;
-    agg.mean_restart_hours += run.restart_hours;
-    agg.mean_failures += static_cast<double>(run.failures);
-    agg.mean_checkpoints_written +=
-        static_cast<double>(run.checkpoints_written);
-    agg.mean_checkpoints_skipped +=
-        static_cast<double>(run.checkpoints_skipped);
-    agg.mean_data_written_gb += run.data_written_gb;
-    agg.min_makespan_hours =
-        std::min(agg.min_makespan_hours, run.makespan_hours);
-    agg.max_makespan_hours =
-        std::max(agg.max_makespan_hours, run.makespan_hours);
-    agg.min_checkpoint_hours =
-        std::min(agg.min_checkpoint_hours, run.checkpoint_hours);
-    agg.max_checkpoint_hours =
-        std::max(agg.max_checkpoint_hours, run.checkpoint_hours);
-  }
-  const auto n = static_cast<double>(runs.size());
-  agg.mean_makespan_hours /= n;
-  agg.mean_compute_hours /= n;
-  agg.mean_checkpoint_hours /= n;
-  agg.mean_wasted_hours /= n;
-  agg.mean_restart_hours /= n;
-  agg.mean_failures /= n;
-  agg.mean_checkpoints_written /= n;
-  agg.mean_checkpoints_skipped /= n;
-  agg.mean_data_written_gb /= n;
+  fill_stats(kAggregateFields, runs, agg);
   return agg;
 }
 

@@ -4,6 +4,7 @@
 /// \brief Replica averaging and parameter sweeps over the simulator —
 /// the workhorse behind most of the paper's figures.
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>

@@ -57,6 +57,8 @@
 #include "obs/progress.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
+#include "sim/campaign.hpp"
+#include "sim/hierarchy.hpp"
 #include "sim/metrics.hpp"
 #include "spec/catalog.hpp"
 #include "spec/runner.hpp"
@@ -152,29 +154,16 @@ void print_scenario_json(const spec::Scenario& s, const char* indent) {
               static_cast<unsigned long long>(s.seed));
 }
 
-void print_aggregate_json(const sim::AggregateMetrics& a, const char* indent) {
-  std::printf("%s\"replicas\": %zu,\n", indent, a.replicas);
-  std::printf("%s\"mean_makespan_hours\": %.17g,\n", indent,
-              a.mean_makespan_hours);
-  std::printf("%s\"min_makespan_hours\": %.17g,\n", indent,
-              a.min_makespan_hours);
-  std::printf("%s\"max_makespan_hours\": %.17g,\n", indent,
-              a.max_makespan_hours);
-  std::printf("%s\"mean_compute_hours\": %.17g,\n", indent,
-              a.mean_compute_hours);
-  std::printf("%s\"mean_checkpoint_hours\": %.17g,\n", indent,
-              a.mean_checkpoint_hours);
-  std::printf("%s\"mean_wasted_hours\": %.17g,\n", indent,
-              a.mean_wasted_hours);
-  std::printf("%s\"mean_restart_hours\": %.17g,\n", indent,
-              a.mean_restart_hours);
-  std::printf("%s\"mean_failures\": %.17g,\n", indent, a.mean_failures);
-  std::printf("%s\"mean_checkpoints_written\": %.17g,\n", indent,
-              a.mean_checkpoints_written);
-  std::printf("%s\"mean_checkpoints_skipped\": %.17g,\n", indent,
-              a.mean_checkpoints_skipped);
-  std::printf("%s\"mean_data_written_gb\": %.17g\n", indent,
-              a.mean_data_written_gb);
+/// `"name": value` for every row of `table`, one per line after the
+/// aggregate's leading `replicas`.
+template <class S, class Table>
+void print_fields_json(const S& s, const Table& table, const char* indent) {
+  std::printf("%s\"replicas\": %zu", indent, s.replicas);
+  for (const auto& row : table) {
+    std::printf(",\n%s\"%s\": %.17g", indent, row.name,
+                sim::Member<S>(row.member).value(s));
+  }
+  std::printf("\n");
 }
 
 void print_json(const spec::ScenarioResult& result) {
@@ -184,21 +173,13 @@ void print_json(const spec::ScenarioResult& result) {
   print_scenario_json(s, "    ");
   std::printf("  },\n");
   std::printf("  \"aggregate\": {\n");
-  print_aggregate_json(result.aggregate, "    ");
+  print_fields_json(result.aggregate, sim::kAggregateFields, "    ");
   const bool more =
       result.campaign.has_value() || result.hierarchy.has_value();
   std::printf("  }%s\n", more ? "," : "");
   if (result.campaign.has_value()) {
-    const auto& c = *result.campaign;
     std::printf("  \"campaign\": {\n");
-    std::printf("    \"replicas\": %zu,\n", c.replicas);
-    std::printf("    \"mean_allocations\": %.17g,\n", c.mean_allocations);
-    std::printf("    \"mean_machine_hours\": %.17g,\n", c.mean_machine_hours);
-    std::printf("    \"mean_committed_hours\": %.17g,\n",
-                c.mean_committed_hours);
-    std::printf("    \"mean_checkpoint_hours\": %.17g,\n",
-                c.mean_checkpoint_hours);
-    std::printf("    \"completion_rate\": %.17g\n", c.completion_rate);
+    print_fields_json(*result.campaign, sim::kCampaignFields, "    ");
     std::printf("  }%s\n", result.hierarchy.has_value() ? "," : "");
   }
   if (result.hierarchy.has_value()) {
@@ -209,12 +190,11 @@ void print_json(const spec::ScenarioResult& result) {
     std::printf("    \"tiers\": [\n");
     for (std::size_t i = 0; i < h.tiers.size(); ++i) {
       const auto& tier = h.tiers[i];
-      std::printf(
-          "      {\"kind\": \"%s\", \"mean_io_hours\": %.17g, "
-          "\"mean_checkpoints\": %.17g, \"mean_restarts\": %.17g}%s\n",
-          json::escape(tier.kind).c_str(), tier.mean_io_hours,
-          tier.mean_checkpoints, tier.mean_restarts,
-          i + 1 < h.tiers.size() ? "," : "");
+      std::printf("      {\"kind\": \"%s\"", json::escape(tier.kind).c_str());
+      for (const auto& row : sim::kTierFields) {
+        std::printf(", \"%s\": %.17g", row.name, tier.*row.member);
+      }
+      std::printf("}%s\n", i + 1 < h.tiers.size() ? "," : "");
     }
     std::printf("    ]\n");
     std::printf("  }\n");
@@ -298,27 +278,15 @@ struct MetricDelta {
   }
 };
 
-/// The aggregate metrics --compare reports, in fixed order so both the
-/// table and the JSON are deterministic for a given pair of runs.
+/// One row per aggregate field, in table order, so both the table and the
+/// JSON are deterministic for a given pair of runs.
 std::vector<MetricDelta> metric_deltas(const sim::AggregateMetrics& a,
                                        const sim::AggregateMetrics& b) {
-  return {
-      {"mean_makespan_hours", a.mean_makespan_hours, b.mean_makespan_hours},
-      {"min_makespan_hours", a.min_makespan_hours, b.min_makespan_hours},
-      {"max_makespan_hours", a.max_makespan_hours, b.max_makespan_hours},
-      {"mean_compute_hours", a.mean_compute_hours, b.mean_compute_hours},
-      {"mean_checkpoint_hours", a.mean_checkpoint_hours,
-       b.mean_checkpoint_hours},
-      {"mean_wasted_hours", a.mean_wasted_hours, b.mean_wasted_hours},
-      {"mean_restart_hours", a.mean_restart_hours, b.mean_restart_hours},
-      {"mean_failures", a.mean_failures, b.mean_failures},
-      {"mean_checkpoints_written", a.mean_checkpoints_written,
-       b.mean_checkpoints_written},
-      {"mean_checkpoints_skipped", a.mean_checkpoints_skipped,
-       b.mean_checkpoints_skipped},
-      {"mean_data_written_gb", a.mean_data_written_gb,
-       b.mean_data_written_gb},
-  };
+  std::vector<MetricDelta> deltas;
+  for (const auto& row : sim::kAggregateFields) {
+    deltas.push_back({row.name, a.*row.member, b.*row.member});
+  }
+  return deltas;
 }
 
 void print_compare_json(const spec::ScenarioResult& a,
@@ -392,7 +360,7 @@ void print_sweep_json(const std::vector<SweepRow>& rows) {
     print_scenario_json(row.result.scenario, "      ");
     std::printf("    },\n");
     std::printf("    \"aggregate\": {\n");
-    print_aggregate_json(row.result.aggregate, "      ");
+    print_fields_json(row.result.aggregate, sim::kAggregateFields, "      ");
     std::printf("    }\n");
     std::printf("  }%s\n", i + 1 < rows.size() ? "," : "");
   }
