@@ -1,6 +1,7 @@
 #include "core/policy/bounded_ilazy.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/error.hpp"
 #include "core/policy/ilazy.hpp"
@@ -13,6 +14,7 @@ BoundedILazyPolicy::BoundedILazyPolicy(double shape, double max_stretch)
   require(shape > 0.0 && shape <= 1.0,
           "BoundedILazyPolicy shape must lie in (0, 1]");
   require(max_stretch >= 1.0, "BoundedILazyPolicy max_stretch must be >= 1");
+  mean_factor_ = std::tgamma(1.0 + 1.0 / shape);
 }
 
 double BoundedILazyPolicy::next_interval(const PolicyContext& ctx) {
@@ -21,8 +23,9 @@ double BoundedILazyPolicy::next_interval(const PolicyContext& ctx) {
 
   require_positive(ctx.mtbf_estimate_hours,
                    "PolicyContext.mtbf_estimate_hours");
-  const auto weibull =
-      stats::Weibull::from_mtbf_and_shape(ctx.mtbf_estimate_hours, shape_);
+  // Weibull::from_mtbf_and_shape, with Γ(1 + 1/k) taken once.
+  const stats::Weibull weibull(shape_,
+                               ctx.mtbf_estimate_hours / mean_factor_);
 
   IntervalBoundParams params;
   params.alpha_oci_hours = ctx.alpha_oci_hours;

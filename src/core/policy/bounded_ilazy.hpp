@@ -30,6 +30,7 @@ class BoundedILazyPolicy final : public CheckpointPolicy {
  private:
   double shape_;
   double max_stretch_;
+  double mean_factor_ = 1.0;  ///< Γ(1 + 1/shape): Weibull mean / scale
 };
 
 }  // namespace lazyckpt::core
