@@ -1,8 +1,10 @@
 #include "cache/serialize.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstddef>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <span>
 #include <string>
 #include <utility>
@@ -15,21 +17,38 @@ namespace lazyckpt::cache {
 namespace {
 
 // ---------------------------------------------------------------------
-// Writing.  Every double goes through hex_double (%a): exact round trip,
-// no locale, no shortest-decimal subtleties — the same bytes on every
-// IEEE-754 platform for the same bit pattern.
+// Writing.  Every double goes through append_hexfloat (%a's bytes): exact
+// round trip, no locale, no shortest-decimal subtleties — the same bytes
+// on every IEEE-754 platform for the same bit pattern.
 // ---------------------------------------------------------------------
 
-std::string hex_double(double value) {
-  char buffer[48];
-  const int n = std::snprintf(buffer, sizeof(buffer), "%a", value);
-  require(n > 0 && static_cast<std::size_t>(n) < sizeof(buffer),
-          "cache: hexfloat formatting failed");
-  return std::string(buffer, static_cast<std::size_t>(n));
+/// Longest hexfloat: "-0x1.fffffffffffffp+1023" is 24 bytes.
+constexpr std::size_t kHexfloatBytes = 32;
+
+/// Write `value` as printf's %a would: `[-]0x` and std::to_chars' hex
+/// digits for normal values and zeros, to_chars alone for ±inf and ±nan.
+char* write_hexfloat(char (&buffer)[kHexfloatBytes], double value) {
+  if (std::fpclassify(value) == FP_SUBNORMAL) {
+    // %a spells these 0x0.<digits>p-1022; to_chars' spelling depends on
+    // the libstdc++ version (GCC 15's normalizes them to 1.<digits>p-10xx).
+    // Subnormals are rare enough that snprintf's cost does not matter.
+    const int n = std::snprintf(buffer, kHexfloatBytes, "%a", value);
+    return buffer + n;
+  }
+  char* out = buffer;
+  if (std::isfinite(value)) {
+    if (std::signbit(value)) *out++ = '-';
+    *out++ = '0';
+    *out++ = 'x';
+    value = std::fabs(value);
+  }
+  return std::to_chars(out, std::end(buffer), value, std::chars_format::hex)
+      .ptr;
 }
 
 void append_u64(std::string* out, std::uint64_t value) {
-  *out += std::to_string(value);
+  char buffer[std::numeric_limits<std::uint64_t>::digits10 + 1];
+  out->append(buffer, std::to_chars(buffer, std::end(buffer), value).ptr);
 }
 
 /// Append ` <value>` for every row of `table`, in table order: counts in
@@ -42,7 +61,7 @@ void append_values(std::string* out, const Table& table, const S& s) {
     if (member.count != nullptr) {
       append_u64(out, s.*member.count);
     } else {
-      *out += hex_double(s.*member.real);
+      append_hexfloat(out, s.*member.real);
     }
   }
 }
@@ -53,7 +72,9 @@ std::string payload_for(const spec::ScenarioResult& result) {
   std::string p;
   p.reserve(256 + scenario_text.size() + result.runs.size() * 160);
 
-  p += "scenario-bytes = " + std::to_string(scenario_text.size()) + "\n";
+  p += "scenario-bytes = ";
+  append_u64(&p, scenario_text.size());
+  p += '\n';
   p += scenario_text;  // canonical form always ends in '\n'
 
   p += "aggregate = ";
@@ -61,12 +82,14 @@ std::string payload_for(const spec::ScenarioResult& result) {
   append_values(&p, sim::kAggregateFields, result.aggregate);
   p += '\n';
 
-  p += "runs = " + std::to_string(result.runs.size()) + "\n";
+  p += "runs = ";
+  append_u64(&p, result.runs.size());
+  p += '\n';
   for (const auto& run : result.runs) {
     p += "run =";
     append_values(&p, sim::kRunFields, run);
     p += ' ';
-    p += std::to_string(run.timeline.size());
+    append_u64(&p, run.timeline.size());
     p += '\n';
     for (const auto& tp : run.timeline) {
       p += "tp =";
@@ -90,7 +113,7 @@ std::string payload_for(const spec::ScenarioResult& result) {
     append_u64(&p, h.replicas);
     append_values(&p, sim::kHierarchyFields, h);
     p += ' ';
-    p += std::to_string(h.tiers.size());
+    append_u64(&p, h.tiers.size());
     p += '\n';
     for (const auto& tier : h.tiers) {
       // Tier kinds are [A-Za-z0-9_.-] registry names (never spaces), so
@@ -143,6 +166,14 @@ class Reader {
     return false;
   }
 
+  /// Whether the unread bytes could hold `count` lines of at least
+  /// `line_bytes` bytes each: bounds a count before anything is reserved
+  /// from it.
+  [[nodiscard]] bool can_hold(std::size_t count,
+                              std::size_t line_bytes) const {
+    return count <= (text_.size() - pos_) / line_bytes;
+  }
+
   [[nodiscard]] bool ok() const { return !failed_; }
   [[nodiscard]] bool at_end() const { return pos_ == text_.size(); }
   [[nodiscard]] std::size_t pos() const { return pos_; }
@@ -175,19 +206,16 @@ bool parse_fields(std::string_view line, std::string_view key,
   return true;
 }
 
-bool parse_hex_double(std::string_view token, double* out) {
-  const std::string buffer(token);
-  char* end = nullptr;
-  *out = std::strtod(buffer.c_str(), &end);
-  return end != nullptr && *end == '\0' && end != buffer.c_str();
+/// Bytes in the shortest "key = v0 … vN-1\n" line, with one-byte tokens.
+constexpr std::size_t min_line_bytes(std::string_view key,
+                                     std::size_t tokens) {
+  return key.size() + 2 + 2 * tokens + 1;
 }
 
 bool parse_u64(std::string_view token, std::uint64_t* out) {
-  if (token.empty()) return false;
-  const std::string buffer(token);
-  char* end = nullptr;
-  *out = std::strtoull(buffer.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
+  const char* const end = token.data() + token.size();
+  const auto [stop, ec] = std::from_chars(token.data(), end, *out);
+  return ec == std::errc() && stop == end && !token.empty();
 }
 
 bool parse_size(std::string_view token, std::size_t* out) {
@@ -204,7 +232,7 @@ bool parse_values(const std::string_view* tokens, const Table& table, S* s) {
     const sim::Member<S> member = row.member;
     const bool parsed = member.count != nullptr
                             ? parse_u64(*tokens, &(s->*member.count))
-                            : parse_hex_double(*tokens, &(s->*member.real));
+                            : parse_hexfloat(*tokens, &(s->*member.real));
     if (!parsed) return false;
     ++tokens;
   }
@@ -218,6 +246,35 @@ DeserializeOutcome reject(const std::string& why) {
 }
 
 }  // namespace
+
+void append_hexfloat(std::string* out, double value) {
+  char buffer[kHexfloatBytes];
+  out->append(buffer, write_hexfloat(buffer, value));
+}
+
+bool parse_hexfloat(std::string_view token, double* out) {
+  std::string_view body = token;
+  const bool negative = body.starts_with('-');
+  if (negative) body.remove_prefix(1);
+  double value = 0.0;
+  if (body == "nan") {
+    // strtod's quiet NaN; from_chars sets other payload bits.
+    value = std::numeric_limits<double>::quiet_NaN();
+  } else if (body == "inf") {
+    value = std::numeric_limits<double>::infinity();
+  } else {
+    if (!body.starts_with("0x")) return false;
+    const char* const end = body.data() + body.size();
+    const auto [stop, ec] = std::from_chars(body.data() + 2, end, value,
+                                            std::chars_format::hex);
+    if (ec != std::errc() || stop != end) return false;
+  }
+  *out = negative ? -value : value;
+  // from_chars also takes uppercase digits, a missing exponent, a second
+  // sign; only the writer's own spelling of the value is accepted.
+  char buffer[kHexfloatBytes];
+  return std::string_view(buffer, write_hexfloat(buffer, *out)) == token;
+}
 
 std::string serialize_result(const spec::ScenarioResult& result) {
   const std::string payload = payload_for(result);
@@ -321,6 +378,9 @@ DeserializeOutcome deserialize_result(std::string_view bytes) {
       !parse_size(fields[0], &run_count)) {
     return reject("malformed runs line");
   }
+  if (!reader.can_hold(run_count, min_line_bytes("run", kRunTokens))) {
+    return reject("run count exceeds the entry");
+  }
   result.runs.reserve(run_count);
   for (std::size_t r = 0; r < run_count; ++r) {
     if (!reader.next_line(&line)) return reject(reader.error());
@@ -334,6 +394,10 @@ DeserializeOutcome deserialize_result(std::string_view bytes) {
     std::size_t timeline_count = 0;
     if (!parse_size(fields[kRunTokens - 1], &timeline_count)) {
       return reject("malformed run timeline count");
+    }
+    if (!reader.can_hold(timeline_count,
+                         min_line_bytes("tp", sim::kTimelineFields.size()))) {
+      return reject("timeline count exceeds the entry");
     }
     run.timeline.reserve(timeline_count);
     for (std::size_t t = 0; t < timeline_count; ++t) {
@@ -392,6 +456,9 @@ DeserializeOutcome deserialize_result(std::string_view bytes) {
     std::size_t tier_count = 0;
     if (!parse_size(fields[kHierarchyTokens - 1], &tier_count)) {
       return reject("malformed hierarchy tier count");
+    }
+    if (!reader.can_hold(tier_count, min_line_bytes("htier", kTierTokens))) {
+      return reject("htier count exceeds the entry");
     }
     h.tiers.reserve(tier_count);
     for (std::size_t t = 0; t < tier_count; ++t) {

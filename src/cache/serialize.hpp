@@ -8,8 +8,13 @@
 /// run, so the value format cannot lose a single mantissa bit or reorder a
 /// single field:
 ///
-///   - every double is written as a C99 hexadecimal float (`%a`), which
-///     strtod round-trips exactly on every IEEE-754 platform;
+///   - every double is written as a C99 hexadecimal float, byte for byte
+///     what printf's `%a` prints, and read back bit-exactly.  The codec is
+///     `<charconv>` (append_hexfloat / parse_hexfloat below): `[-]0x` and
+///     std::to_chars' hex digits, std::from_chars to read.  The reader
+///     accepts only the writer's own spelling of a value, so a decimal,
+///     `+`-signed or uppercase token is a malformed field, as is a count
+///     with a sign;
 ///   - fields appear in one fixed order (no map iteration anywhere);
 ///   - the payload carries a CRC-32 and the embedded canonical scenario
 ///     text, so truncated, bit-flipped, wrong-version, and wrong-key
@@ -45,8 +50,20 @@ struct DeserializeOutcome {
   std::string error;  ///< why the bytes were rejected (when !result)
 };
 
+/// Append `value` as printf("%a") would print it: `[-]0x` plus
+/// std::to_chars' hex digits for a finite value, `inf`, `-inf`, `nan` or
+/// `-nan` otherwise.  The entry format's one double writer.
+void append_hexfloat(std::string* out, double value);
+
+/// Read a token append_hexfloat writes into the bits strtod would give it
+/// (a NaN reads as strtod's quiet NaN of that sign).  Returns false for
+/// every other token, including other spellings strtod would accept.
+[[nodiscard]] bool parse_hexfloat(std::string_view token, double* out);
+
 /// Parse and verify one serialized entry: header + version, CRC-32 over
-/// the payload, field structure, and scenario validity.  Never throws on
+/// the payload, field structure, and scenario validity.  A count (runs,
+/// timeline points, tiers) that the remaining bytes could not hold is
+/// rejected before anything is reserved from it.  Never throws on
 /// malformed bytes — corruption is a routine cache condition, reported in
 /// `error` so the store can count it and fall back to recompute.
 [[nodiscard]] DeserializeOutcome deserialize_result(std::string_view bytes);

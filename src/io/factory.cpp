@@ -1,16 +1,16 @@
 #include "io/factory.hpp"
 
 #include <memory>
+#include <mutex>
 #include <utility>
 
 #include "common/error.hpp"
-#include "io/bandwidth_trace.hpp"
+#include "common/fp.hpp"
 
 namespace lazyckpt::io {
 namespace {
 
-/// TraceStorage over a synthetic Spider trace the model itself owns.  The
-/// trace is immutable and shared between clones, so per-replica clone()
+/// TraceStorage that co-owns its immutable trace, so per-replica clone()
 /// stays cheap while the pointer TraceStorage holds remains valid.
 class SyntheticTraceStorage final : public StorageModel {
  public:
@@ -48,18 +48,42 @@ StorageModelPtr build_constant(const keyval::ParsedSpec& spec) {
 StorageModelPtr build_spider(const keyval::ParsedSpec& spec) {
   spec.require_keys(
       {"size_gb", "span", "mean", "seed", "offset", "read_speedup"});
+  return make_spider_storage(spec);
+}
+
+}  // namespace
+
+std::shared_ptr<const BandwidthTrace> shared_spider_trace(
+    double span_hours, double mean_gbps, std::uint64_t seed) {
+  static std::mutex mutex;
+  static double memo_span = 0.0;
+  static double memo_mean = 0.0;
+  static std::uint64_t memo_seed = 0;
+  static std::shared_ptr<const BandwidthTrace> memo;
+  // Held across the synthesis, so concurrent first calls build one trace.
+  const std::lock_guard<std::mutex> lock(mutex);
+  if (memo == nullptr || !fp::exact_eq(memo_span, span_hours) ||
+      !fp::exact_eq(memo_mean, mean_gbps) || memo_seed != seed) {
+    memo = std::make_shared<const BandwidthTrace>(
+        BandwidthTrace::synthetic_spider(span_hours, mean_gbps, 1.0, 110.0,
+                                         seed));
+    memo_span = span_hours;
+    memo_mean = mean_gbps;
+    memo_seed = seed;
+  }
+  return memo;
+}
+
+StorageModelPtr make_spider_storage(const keyval::ParsedSpec& spec) {
   const double span = spec.number("span");
   const double mean = spec.number_or("mean", 10.0);
   const double seed = spec.number_or("seed", 7.0);
-  auto trace = std::make_shared<const BandwidthTrace>(
-      BandwidthTrace::synthetic_spider(span, mean, 1.0, 110.0,
-                                       static_cast<std::uint64_t>(seed)));
+  auto trace =
+      shared_spider_trace(span, mean, static_cast<std::uint64_t>(seed));
   return std::make_unique<SyntheticTraceStorage>(
       std::move(trace), spec.number("size_gb"),
       spec.number_or("offset", 0.0), spec.number_or("read_speedup", 1.0));
 }
-
-}  // namespace
 
 StorageRegistry::StorageRegistry() {
   builders_.emplace("constant", &build_constant);
@@ -73,9 +97,7 @@ StorageRegistry& StorageRegistry::instance() {
 
 void StorageRegistry::add(const std::string& kind, StorageBuilder builder) {
   require(builder != nullptr, "StorageRegistry::add: null builder");
-  const auto [it, inserted] = builders_.emplace(kind, builder);
-  (void)it;
-  if (!inserted) {
+  if (!builders_.emplace(kind, builder).second) {
     throw InvalidArgument("storage kind '" + kind + "' is already registered");
   }
 }
@@ -93,10 +115,7 @@ StorageModelPtr StorageRegistry::make(std::string_view spec) const {
 std::vector<std::string> StorageRegistry::kinds() const {
   std::vector<std::string> out;
   out.reserve(builders_.size());
-  for (const auto& [kind, builder] : builders_) {
-    (void)builder;
-    out.push_back(kind);
-  }
+  for (const auto& entry : builders_) out.push_back(entry.first);
   return out;
 }
 

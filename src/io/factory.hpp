@@ -9,7 +9,8 @@
 ///   "constant:beta=0.5,gamma=0.25"          — ConstantStorage(0.5, 0.25)
 ///   "constant:beta=0.5,size_gb=150"         — with write-volume accounting
 ///   "spider:size_gb=150,span=1000"          — synthetic Spider-like
-///     bandwidth trace (io::BandwidthTrace::synthetic_spider) driving a
+///     bandwidth trace (io::BandwidthTrace::synthetic_spider, one shared
+///     trace per span/mean/seed: shared_spider_trace) driving a
 ///     TraceStorage; optional mean=10, seed=7, offset=0, read_speedup=1
 ///
 /// γ defaults to β when omitted.  Kinds live in a registry so new backends
@@ -17,12 +18,15 @@
 /// kinds, unknown keys, and malformed numbers throw InvalidArgument naming
 /// the offending token.
 
+#include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/keyval.hpp"
+#include "io/bandwidth_trace.hpp"
 #include "io/storage_model.hpp"
 
 namespace lazyckpt::io {
@@ -52,6 +56,20 @@ class StorageRegistry {
   StorageRegistry();
   std::map<std::string, StorageBuilder, std::less<>> builders_;
 };
+
+/// BandwidthTrace::synthetic_spider(span_hours, mean_gbps, 1.0, 110.0,
+/// seed), shared: the last successful synthesis is kept and returned to
+/// every call with equal arguments, so rebuilding a spider model (each
+/// Scenario::validate on a cache hit does) costs no re-synthesis.
+/// Thread-safe; a failed synthesis throws as synthetic_spider does and is
+/// not kept.
+[[nodiscard]] std::shared_ptr<const BandwidthTrace> shared_spider_trace(
+    double span_hours, double mean_gbps, std::uint64_t seed);
+
+/// The model behind the spider kind and io/hierarchy.hpp's trace tiers,
+/// from `spec`'s span/mean/seed/size_gb/offset/read_speedup keys.
+[[nodiscard]] StorageModelPtr make_spider_storage(
+    const keyval::ParsedSpec& spec);
 
 /// Parse `spec` and build the storage model via the process registry.
 /// Throws InvalidArgument on a malformed or unknown spec.

@@ -5,38 +5,10 @@
 
 #include "common/error.hpp"
 #include "common/fp.hpp"
-#include "io/bandwidth_trace.hpp"
+#include "io/factory.hpp"
 
 namespace lazyckpt::io {
 namespace {
-
-/// TraceStorage over a synthetic Spider trace owned by the tier — the same
-/// shared-immutable-trace shape as the spider kind in io/factory.cpp, so
-/// per-replica clone() stays cheap.
-class OwnedTraceStorage final : public StorageModel {
- public:
-  OwnedTraceStorage(std::shared_ptr<const BandwidthTrace> trace,
-                    double size_gb, double offset_hours, double read_speedup)
-      : trace_(std::move(trace)),
-        inner_(size_gb, *trace_, offset_hours, read_speedup) {}
-
-  [[nodiscard]] double checkpoint_time(double now_hours) const override {
-    return inner_.checkpoint_time(now_hours);
-  }
-  [[nodiscard]] double restart_time(double now_hours) const override {
-    return inner_.restart_time(now_hours);
-  }
-  [[nodiscard]] double checkpoint_size_gb() const override {
-    return inner_.checkpoint_size_gb();
-  }
-  [[nodiscard]] StorageModelPtr clone() const override {
-    return std::make_unique<OwnedTraceStorage>(*this);
-  }
-
- private:
-  std::shared_ptr<const BandwidthTrace> trace_;
-  TraceStorage inner_;
-};
 
 /// Shared tier construction: β/γ source (constant or spider trace) plus
 /// the cadence/capacity/survivability knobs.  `default_survivable` is the
@@ -55,15 +27,7 @@ StorageTier build_tier(const keyval::ParsedSpec& spec,
                             "': beta/gamma and span are mutually exclusive "
                             "(a trace tier derives both from the trace)");
     }
-    const double span = spec.number("span");
-    const double mean = spec.number_or("mean", 10.0);
-    const double seed = spec.number_or("seed", 7.0);
-    auto trace = std::make_shared<const BandwidthTrace>(
-        BandwidthTrace::synthetic_spider(span, mean, 1.0, 110.0,
-                                         static_cast<std::uint64_t>(seed)));
-    tier.model = std::make_unique<OwnedTraceStorage>(
-        std::move(trace), spec.number("size_gb"),
-        spec.number_or("offset", 0.0), spec.number_or("read_speedup", 1.0));
+    tier.model = make_spider_storage(spec);
   } else {
     const double beta = spec.number("beta");
     tier.model = std::make_unique<ConstantStorage>(
@@ -184,9 +148,7 @@ TierRegistry& TierRegistry::instance() {
 
 void TierRegistry::add(const std::string& kind, TierBuilder builder) {
   require(builder != nullptr, "TierRegistry::add: null builder");
-  const auto [it, inserted] = builders_.emplace(kind, builder);
-  (void)it;
-  if (!inserted) {
+  if (!builders_.emplace(kind, builder).second) {
     throw InvalidArgument("tier kind '" + kind + "' is already registered");
   }
 }
@@ -204,10 +166,7 @@ StorageTier TierRegistry::make_tier(std::string_view spec) const {
 std::vector<std::string> TierRegistry::kinds() const {
   std::vector<std::string> out;
   out.reserve(builders_.size());
-  for (const auto& [kind, builder] : builders_) {
-    (void)builder;
-    out.push_back(kind);
-  }
+  for (const auto& entry : builders_) out.push_back(entry.first);
   return out;
 }
 

@@ -67,8 +67,11 @@ void Scenario::validate() const {
     throw InvalidArgument("scenario name '" + name +
                           "' must be non-empty [A-Za-z0-9_.-]");
   }
-  // The factory specs must parse; building them is the only reliable check
-  // and is cheap (scenarios are parsed far from any hot path).
+  // The factory specs must parse; building them is the only reliable check.
+  // These builds sit on the cache-hit path (parse, run and key derivation
+  // each validate), so they must stay cheap: spider storage and trace
+  // tiers reuse one shared trace (io::shared_spider_trace) rather than
+  // re-synthesizing it on every build.
   (void)stats::make_distribution(distribution);
   if (is_tiered()) {
     require(storage.empty(),

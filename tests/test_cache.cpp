@@ -14,8 +14,13 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -25,7 +30,9 @@
 #include "cache/key.hpp"
 #include "cache/serialize.hpp"
 #include "cache/store.hpp"
+#include "common/crc32.hpp"
 #include "common/error.hpp"
+#include "common/random.hpp"
 #include "sim/campaign.hpp"
 #include "sim/hierarchy.hpp"
 #include "sim/metrics.hpp"
@@ -289,7 +296,10 @@ void expect_rows_equal(const Table& table, const S& want, const S& got,
   }
 }
 
-TEST(CacheSerialize, EveryTableFieldRoundTripsExactly) {
+/// A result whose every table row, count and block is filled with a
+/// distinct value: two runs of two timeline points each, a campaign and a
+/// two-tier hierarchy.
+spec::ScenarioResult table_filled_result() {
   spec::ScenarioResult result;
   result.scenario = small_scenario();
   std::uint64_t index = 0;
@@ -319,7 +329,13 @@ TEST(CacheSerialize, EveryTableFieldRoundTripsExactly) {
     hierarchy.tiers.push_back(tier);
   }
   result.hierarchy = hierarchy;
+  return result;
+}
 
+TEST(CacheSerialize, EveryTableFieldRoundTripsExactly) {
+  const spec::ScenarioResult result = table_filled_result();
+  const sim::CampaignAggregate& campaign = *result.campaign;
+  const sim::HierarchyAggregate& hierarchy = *result.hierarchy;
   const std::string bytes = cache::serialize_result(result);
   const auto outcome = cache::deserialize_result(bytes);
   ASSERT_TRUE(outcome.result.has_value()) << outcome.error;
@@ -354,6 +370,141 @@ TEST(CacheSerialize, EveryTableFieldRoundTripsExactly) {
     expect_rows_equal(sim::kTierFields, hierarchy.tiers[t],
                       got.hierarchy->tiers[t],
                       "tiers[" + std::to_string(t) + "]");
+  }
+}
+
+// ----------------------------------------------------------- resealed edits
+//
+// The CRC catches every accidental edit, so these tests recompute it after
+// editing one token: only the field parser then stands between the edited
+// entry and a result.
+
+/// `bytes` with the last token of its first line that starts with `key`
+/// replaced by `token`, and the CRC line recomputed over the new payload.
+std::string reseal_last_token(const std::string& bytes, std::string_view key,
+                              std::string_view token) {
+  const std::size_t crc_line = bytes.find("crc32 = ");
+  const std::size_t payload_start = bytes.find('\n', crc_line) + 1;
+  std::string payload = bytes.substr(payload_start);
+  const std::size_t line = payload.find("\n" + std::string(key)) + 1;
+  EXPECT_NE(line, 0u) << "no line starts with '" << key << "'";
+  const std::size_t end = payload.find('\n', line);
+  const std::size_t last = payload.rfind(' ', end) + 1;
+  payload.replace(last, end - last, token);
+  const std::uint32_t crc = crc32(std::span(
+      reinterpret_cast<const std::byte*>(payload.data()), payload.size()));
+  char crc_hex[9];
+  std::snprintf(crc_hex, sizeof(crc_hex), "%08x", crc);
+  return bytes.substr(0, crc_line) + "crc32 = " + crc_hex + "\n" + payload;
+}
+
+TEST(CacheSerialize, CountsTheEntryCannotHoldAreRejected) {
+  const std::string bytes = cache::serialize_result(table_filled_result());
+  // Re-writing a count with its own value changes no byte: the helper
+  // edits exactly one token and reseals it correctly.
+  ASSERT_EQ(reseal_last_token(bytes, "runs =", "2"), bytes);
+  ASSERT_EQ(reseal_last_token(bytes, "run =", "2"), bytes);
+  ASSERT_EQ(reseal_last_token(bytes, "hierarchy =", "2"), bytes);
+  // "runs =" holds the run count, the last token of "run =" a run's
+  // timeline count, and the last token of "hierarchy =" the tier count.
+  // Each was once reserved from unchecked: these values threw
+  // std::length_error or std::bad_alloc out of deserialize_result.
+  for (const std::string_view key : {"runs =", "run =", "hierarchy ="}) {
+    for (const std::string_view count :
+         {"-1", "99999999999999", "2000000000", "18446744073709551615",
+          "18446744073709551616"}) {
+      const std::string edited = reseal_last_token(bytes, key, count);
+      cache::DeserializeOutcome outcome;
+      EXPECT_NO_THROW(outcome = cache::deserialize_result(edited))
+          << key << ' ' << count;
+      EXPECT_FALSE(outcome.result.has_value()) << key << ' ' << count;
+      EXPECT_FALSE(outcome.error.empty()) << key << ' ' << count;
+    }
+  }
+}
+
+TEST(CacheSerialize, DecimalTokenIsAMalformedField) {
+  // strtod would read "0.125" as the value 0x1p-3 stands for; the reader
+  // takes only the writer's spelling, so the entry is malformed (and the
+  // store repairs it like any other reject).
+  const std::string bytes = cache::serialize_result(table_filled_result());
+  const auto outcome =
+      cache::deserialize_result(reseal_last_token(bytes, "tp =", "0.125"));
+  EXPECT_FALSE(outcome.result.has_value());
+  EXPECT_NE(outcome.error.find("malformed timeline field"), std::string::npos)
+      << outcome.error;
+}
+
+// ----------------------------------------------------------- hexfloat codec
+
+/// printf's %a spelling of `value`: the reference the writer must match.
+std::string printf_hexfloat(double value) {
+  char buffer[64];
+  const int n = std::snprintf(buffer, sizeof(buffer), "%a", value);
+  return std::string(buffer, static_cast<std::size_t>(n));
+}
+
+/// Seeded random bit patterns (every exponent, sign and NaN payload) plus
+/// the specials: ±0, ±inf, ±NaN, the subnormal range and the extremes.
+std::vector<double> codec_values() {
+  using limits = std::numeric_limits<double>;
+  std::vector<double> values = {
+      0.0, -0.0, limits::infinity(), -limits::infinity(),
+      limits::quiet_NaN(), -limits::quiet_NaN(), limits::signaling_NaN(),
+      limits::denorm_min(), -limits::denorm_min(),
+      std::bit_cast<double>(std::uint64_t{0x000fffffffffffff}),
+      std::bit_cast<double>(std::uint64_t{0x8000000000000123}),
+      limits::min(), -limits::min(), limits::max(), -limits::max(),
+      limits::epsilon(), 1.0, -1.5, 0.1, 1e300};
+  Rng rng(20261020);
+  for (int i = 0; i < (1 << 20); ++i) {
+    values.push_back(std::bit_cast<double>(rng()));
+  }
+  return values;
+}
+
+TEST(CacheCodec, WriterIsByteEqualToPrintfA) {
+  std::size_t mismatches = 0;
+  for (const double value : codec_values()) {
+    std::string written;
+    cache::append_hexfloat(&written, value);
+    const std::string expected = printf_hexfloat(value);
+    if (written != expected && ++mismatches <= 5) {
+      ADD_FAILURE() << "bits " << std::hex
+                    << std::bit_cast<std::uint64_t>(value) << ": wrote "
+                    << written << ", %a gives " << expected;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(CacheCodec, ReaderIsBitEqualToStrtodOnEveryWriterToken) {
+  std::size_t mismatches = 0;
+  for (const double value : codec_values()) {
+    std::string token;
+    cache::append_hexfloat(&token, value);
+    const double reference = std::strtod(token.c_str(), nullptr);
+    double parsed = 0.0;
+    const bool ok = cache::parse_hexfloat(token, &parsed);
+    if ((!ok || std::bit_cast<std::uint64_t>(parsed) !=
+                    std::bit_cast<std::uint64_t>(reference)) &&
+        ++mismatches <= 5) {
+      ADD_FAILURE() << token << ": parsed " << ok << ' ' << std::hex
+                    << std::bit_cast<std::uint64_t>(parsed) << ", strtod "
+                    << std::bit_cast<std::uint64_t>(reference);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(CacheCodec, ReaderRejectsEveryOtherSpelling) {
+  double parsed = 0.0;
+  for (const std::string_view token :
+       {"", "-", "0x", "1.5", "1e3", "+0x1p+0", "0X1p+0", "0x1P+0",
+        "0x1.Ap+0", "0x1.8", "0x1.80p+0", "0x-1p+0", "-0x-1p+0", " 0x1p+0",
+        "0x1p+0 ", "0x1p+01", "Inf", "infinity", "+inf", "NAN", "nan(1)",
+        "+nan", "--nan"}) {
+    EXPECT_FALSE(cache::parse_hexfloat(token, &parsed)) << '"' << token << '"';
   }
 }
 
@@ -447,6 +598,26 @@ TEST_F(ResultStoreTest, FlippedChecksumByteIsAMiss) {
   cache::ResultStore store(disk_options());
   EXPECT_FALSE(store.fetch(result.scenario).has_value());
   EXPECT_EQ(store.stats().misses, 1u);
+}
+
+TEST_F(ResultStoreTest, ResealedHugeRunCountIsAMissAndRecomputeHeals) {
+  const auto result = run_fresh(small_scenario());
+  cache::ResultStore(disk_options()).store(result);
+  const std::string path = entry_file(cache::derive_key(result.scenario));
+  const std::optional<std::string> bytes = cache::read_file(path);
+  ASSERT_TRUE(bytes.has_value());
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << reseal_last_token(*bytes, "runs =", "99999999999999");
+  }
+
+  cache::ResultStore store(disk_options());
+  EXPECT_FALSE(store.fetch(result.scenario).has_value());
+  EXPECT_EQ(store.stats().misses, 1u);
+  store.store(result);
+  cache::ResultStore healed(disk_options());
+  ASSERT_TRUE(healed.fetch(result.scenario).has_value());
+  EXPECT_EQ(healed.stats().hits, 1u);
 }
 
 TEST_F(ResultStoreTest, StaleFormatVersionOnDiskIsAMiss) {

@@ -3,17 +3,25 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 
 #include <filesystem>
+#include <memory>
+#include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/units.hpp"
 #include "io/bandwidth_trace.hpp"
+#include "io/factory.hpp"
+#include "io/hierarchy.hpp"
 #include "io/io_agent.hpp"
 #include "io/storage_model.hpp"
 
@@ -187,6 +195,81 @@ TEST(TraceStorage, CloneIsIndependentHandle) {
 }
 
 // ---------------------------------------------------------------- agent
+// --------------------------------------------------------- shared trace
+// Every spider model and trace tier built from one (span, mean, seed)
+// holds one synthesized trace, so validating a scenario again (a cache
+// hit validates it three times) costs no re-synthesis.  Each test uses
+// its own parameter set: the memo is process-wide.
+
+TEST(SharedSpiderTrace, EqualArgumentsReturnTheSameTrace) {
+  const auto trace = shared_spider_trace(300.0, 10.0, 7);
+  EXPECT_EQ(shared_spider_trace(300.0, 10.0, 7).get(), trace.get());
+  // The spider kind and a trace tier both hold that trace.
+  const long before = trace.use_count();
+  const auto storage = make_storage("spider:size_gb=150,span=300");
+  const auto hierarchy = make_hierarchy("pfs:size_gb=150,span=300");
+  EXPECT_EQ(trace.use_count(), before + 2);
+  // Any other argument is another trace.
+  EXPECT_NE(shared_spider_trace(300.0, 10.0, 8).get(), trace.get());
+  EXPECT_NE(shared_spider_trace(300.0, 10.5, 7).get(), trace.get());
+  EXPECT_NE(shared_spider_trace(301.0, 10.0, 7).get(), trace.get());
+}
+
+TEST(SharedSpiderTrace, SamplesAreBitwiseSyntheticSpiders) {
+  const auto shared = shared_spider_trace(250.0, 12.0, 11);
+  const auto fresh =
+      BandwidthTrace::synthetic_spider(250.0, 12.0, 1.0, 110.0, 11);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(shared->step_hours()),
+            std::bit_cast<std::uint64_t>(fresh.step_hours()));
+  ASSERT_EQ(shared->size(), fresh.size());
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(shared->samples()[i]),
+              std::bit_cast<std::uint64_t>(fresh.samples()[i]))
+        << "sample " << i;
+  }
+}
+
+TEST(SharedSpiderTrace, FailedBuildsAreNotKept) {
+  const auto kept = shared_spider_trace(320.0, 10.0, 7);
+  std::array<std::string, 2> messages;
+  for (std::string& message : messages) {
+    try {
+      (void)make_storage("spider:size_gb=150,span=320,mean=-1");
+      ADD_FAILURE() << "a negative mean built";
+    } catch (const InvalidArgument& error) {
+      message = error.what();
+    }
+  }
+  EXPECT_FALSE(messages[0].empty());
+  EXPECT_EQ(messages[0], messages[1]);
+  // The failure left the last good trace in place.
+  EXPECT_EQ(shared_spider_trace(320.0, 10.0, 7).get(), kept.get());
+}
+
+TEST(SharedSpiderTraceParallel, FourThreadsBuildingGetOneTrace) {
+  std::array<StorageModelPtr, 4> models;
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (StorageModelPtr& model : models) {
+    threads.emplace_back([&model, &ready] {
+      ready.fetch_add(1);
+      while (ready.load() < 4) std::this_thread::yield();
+      model = make_storage("spider:size_gb=150,span=400,mean=9,seed=1234");
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  // The memo, the four models and `trace` own it: no thread's model holds
+  // a trace of its own.
+  const auto trace = shared_spider_trace(400.0, 9.0, 1234);
+  EXPECT_EQ(trace.use_count(), 6);
+  for (const StorageModelPtr& model : models) {
+    ASSERT_NE(model, nullptr);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(model->checkpoint_time(5.0)),
+              std::bit_cast<std::uint64_t>(
+                  models[0]->checkpoint_time(5.0)));
+  }
+}
+
 TEST(IoAgent, CurrentAndHistoricalBandwidth) {
   const BandwidthTrace trace(1.0, {10.0, 20.0, 30.0});
   const IoLogAgent agent(trace);
@@ -201,7 +284,8 @@ TEST(IoAgent, EstimatedCheckpointTime) {
   const IoLogAgent agent(trace);
   EXPECT_NEAR(agent.estimated_checkpoint_time(1.5, tb_to_gb(20.0)),
               2000.0 / 3600.0, 1e-9);
-  EXPECT_THROW(agent.estimated_checkpoint_time(1.0, 0.0), InvalidArgument);
+  EXPECT_THROW(static_cast<void>(agent.estimated_checkpoint_time(1.0, 0.0)),
+               InvalidArgument);
 }
 
 }  // namespace
