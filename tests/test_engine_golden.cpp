@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 #include <optional>
 #include <span>
@@ -483,6 +484,157 @@ TEST(EngineGolden, BatchedSweepBitIdenticalWithoutTimeline) {
                         row_label(row) + " no-timeline batch=" +
                             std::to_string(batch) + " replica " +
                             std::to_string(i));
+      }
+    }
+  }
+}
+
+// The 72 golden rows share β = γ = 0.5 and W = 200 h.  This differential
+// draws configurations outside them from a fixed seed — shapes, costs,
+// intervals, async fractions, budgets, timelines and all three eligible
+// policies — and demands the batched sweep match per-replica simulate()
+// bitwise at batch sizes {1, 8, 64}: 21 replicas fill two AVX-512 chunks
+// plus a masked tail.
+TEST(EngineGolden, BatchMatchesScalarOnRandomConfigs) {
+  constexpr std::size_t kConfigs = 160;
+  constexpr std::size_t kReplicas = 21;
+  constexpr std::size_t kBatchSizes[] = {1, 8, 64};
+  Rng grid(0x5eedba7c4ULL);
+  // What the draws reached, so a reseed cannot silently drop a branch.
+  std::size_t async_configs = 0, timeline_configs = 0, no_gamma_configs = 0;
+  std::size_t truncated_runs = 0, finished_runs = 0;
+  std::size_t policy_kinds[3] = {0, 0, 0};
+  for (std::size_t c = 0; c < kConfigs; ++c) {
+    const double mtbf = grid.uniform_in(5.0, 40.0);
+    stats::DistributionPtr dist;
+    std::string dist_label;
+    switch (grid.uniform_index(3)) {
+      case 0: {
+        const double k = grid.uniform_in(0.4, 1.0);
+        dist = std::make_unique<stats::Weibull>(
+            stats::Weibull::from_mtbf_and_shape(mtbf, k));
+        dist_label = "weibull k=" + std::to_string(k);
+        break;
+      }
+      case 1:
+        dist = std::make_unique<stats::Exponential>(
+            stats::Exponential::from_mean(mtbf));
+        dist_label = "exponential";
+        break;
+      default:
+        dist = std::make_unique<stats::LogNormal>(std::log(mtbf) - 0.5, 1.0);
+        dist_label = "lognormal";
+        break;
+    }
+    const double beta = grid.uniform_in(0.05, 2.0);
+    const double gamma =
+        grid.uniform() < 0.25 ? 0.0 : grid.uniform_in(0.05, 2.0);
+    const io::ConstantStorage storage(beta, gamma, 2.0);
+
+    sim::SimulationConfig config;
+    config.compute_hours = grid.uniform_in(20.0, 400.0);
+    config.alpha_oci_hours =
+        core::daly_oci(beta, mtbf) * grid.uniform_in(0.3, 3.0);
+    config.mtbf_hint_hours = mtbf;
+    config.shape_hint = grid.uniform_in(0.4, 1.0);
+    config.checkpoint_blocking_fraction =
+        grid.uniform() < 0.5 ? 1.0 : grid.uniform_in(0.2, 1.0);
+    if (grid.uniform() < 0.5) {
+      // Near the expected makespan, so both truncated and finished
+      // replicas occur.
+      config.time_budget_hours =
+          config.compute_hours * grid.uniform_in(1.0, 1.8);
+    }
+    config.record_timeline = grid.uniform() < 0.5;
+
+    char spec[64];
+    const std::uint64_t kind = grid.uniform_index(3);
+    ++policy_kinds[kind];
+    switch (kind) {
+      case 0:
+        std::snprintf(spec, sizeof(spec), "static-oci");
+        break;
+      case 1:
+        std::snprintf(spec, sizeof(spec), "periodic:%.4f",
+                      config.alpha_oci_hours * grid.uniform_in(0.3, 3.0));
+        break;
+      default:
+        std::snprintf(spec, sizeof(spec), "ilazy:%.4f",
+                      grid.uniform_in(0.4, 1.0));
+        break;
+    }
+    const auto policy = core::make_policy(spec);
+    ASSERT_TRUE(sim::batch_eligible(*policy, storage)) << spec;
+    const std::uint64_t seed = 70000 + c;
+    const std::string label =
+        "config " + std::to_string(c) + " (" + dist_label + " / " + spec +
+        " / beta=" + std::to_string(beta) + " gamma=" +
+        std::to_string(gamma) + " W=" + std::to_string(config.compute_hours) +
+        " blocking=" + std::to_string(config.checkpoint_blocking_fraction) +
+        " budget=" + std::to_string(config.time_budget_hours) +
+        (config.record_timeline ? " timeline)" : ")");
+
+    Rng master(seed);
+    std::vector<sim::RunMetrics> reference;
+    reference.reserve(kReplicas);
+    for (std::size_t i = 0; i < kReplicas; ++i) {
+      sim::RenewalFailureSource source(*dist, master.split());
+      const auto replica_policy = policy->clone();
+      reference.push_back(
+          sim::simulate(config, *replica_policy, source, storage));
+      const bool truncated =
+          reference.back().compute_hours < config.compute_hours;
+      ++(truncated ? truncated_runs : finished_runs);
+    }
+    async_configs += config.checkpoint_blocking_fraction < 1.0 ? 1 : 0;
+    timeline_configs += config.record_timeline ? 1 : 0;
+    no_gamma_configs += gamma == 0.0 ? 1 : 0;
+    for (const std::size_t batch : kBatchSizes) {
+      const auto got = sim::run_replicas_batched(
+          config, *policy, *dist, storage, kReplicas, seed, batch);
+      ASSERT_EQ(got.size(), kReplicas);
+      for (std::size_t i = 0; i < kReplicas; ++i) {
+        expect_run_bits(got[i], reference[i],
+                        label + " batch=" + std::to_string(batch) +
+                            " replica " + std::to_string(i));
+      }
+    }
+  }
+
+  EXPECT_GT(async_configs, 0u);
+  EXPECT_GT(timeline_configs, 0u);
+  EXPECT_GT(no_gamma_configs, 0u);
+  EXPECT_GT(truncated_runs, 0u);
+  EXPECT_GT(finished_runs, 0u);
+  for (const std::size_t n : policy_kinds) EXPECT_GT(n, 0u);
+
+  // An event cap both paths hit: the same message from either.
+  sim::SimulationConfig capped;
+  capped.compute_hours = 400.0;
+  capped.alpha_oci_hours = 2.0;
+  capped.mtbf_hint_hours = 11.0;
+  capped.max_events = 5;
+  const io::ConstantStorage storage(0.5, 0.5, 2.0);
+  const auto dist = make_dist("weibull");
+  for (const char* spec : {"static-oci", "periodic:1.5", "ilazy:0.6"}) {
+    const auto policy = core::make_policy(spec);
+    std::string scalar_error;
+    try {
+      Rng master(1);
+      sim::RenewalFailureSource source(*dist, master.split());
+      (void)sim::simulate(capped, *policy, source, storage);
+    } catch (const std::exception& e) {
+      scalar_error = e.what();
+    }
+    ASSERT_FALSE(scalar_error.empty()) << spec;
+    for (const std::size_t batch : kBatchSizes) {
+      try {
+        (void)sim::run_replicas_batched(capped, *policy, *dist, storage,
+                                        kReplicas, 1, batch);
+        ADD_FAILURE() << spec << " batch=" << batch << ": no throw";
+      } catch (const std::exception& e) {
+        EXPECT_EQ(std::string(e.what()), scalar_error)
+            << spec << " batch=" << batch;
       }
     }
   }
