@@ -6,7 +6,7 @@
 #include <cstddef>
 #include <cstdlib>
 #include <limits>
-#include <utility>
+#include <optional>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -15,6 +15,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/batch_simd.hpp"
+#include "sim/event_loop.hpp"
 #include "sim/failure_source.hpp"
 #include "sim/replicas.hpp"
 #include "stats/exact_pow.hpp"
@@ -30,47 +31,35 @@ namespace {
 /// transform plus a running-sum accumulation in draw order.
 constexpr std::size_t kFailurePrefetch = 16;
 
-/// Same counter names as the scalar engine (sim/event_loop.hpp) so batched
-/// and scalar sweeps aggregate into the same totals, plus the batch
-/// dispatch counter.  Flushed once per batch after the rounds complete —
-/// the rounds themselves never touch observability state.
-struct BatchMetrics {
-  obs::Counter& trials = obs::metrics().counter("sim.trials");
-  obs::Counter& events = obs::metrics().counter("sim.events");
-  obs::Counter& failures = obs::metrics().counter("sim.failures");
-  obs::Counter& ckpt_written =
-      obs::metrics().counter("sim.checkpoints_written");
-  obs::Counter& ckpt_skipped =
-      obs::metrics().counter("sim.checkpoints_skipped");
-  obs::Counter& dispatch_batch = obs::metrics().counter("sim.dispatch.batch");
-
-  static BatchMetrics& get() {
-    static BatchMetrics instance;
-    return instance;
-  }
-};
-
 /// How phase 1 produces the next checkpoint interval for every live
 /// replica.  The three eligible policies need exactly two shapes:
 /// a run-constant interval (periodic, static OCI) or the iLazy stretch,
 /// whose pow runs batched.
 enum class AlphaMode { kConstant, kILazy };
 
+/// An eligible policy's phase-1 interval: run-constant, or the iLazy
+/// stretch of α_OCI with a run-constant shape.
+struct AlphaSource {
+  AlphaMode mode = AlphaMode::kConstant;
+  double constant_alpha = 0.0;
+  double shape = 1.0;  ///< iLazy's Weibull shape (kILazy only)
+};
+
 struct TimelineArenaPoint {
   std::uint32_t replica;
   TimelinePoint point;
 };
 
-/// One batch of replicas in lockstep.  Phase 2's step() is a statement-
-/// for-statement transcription of one run_loop iteration
-/// — same comparisons, same order, same error messages.  What it omits is
-/// exactly the work run_loop does whose results the eligible
-/// configuration can never observe: PolicyContext refreshes (the three
-/// policies read only alpha/time-since-failure/shape, all available in
-/// SoA form), the MTBF moving average (feeds only the context field), the
-/// boundary counter (same), and the no-op policy hooks.  Omitting
-/// unobservable work cannot change a byte of RunMetrics; the golden tests
-/// hold the proof.
+/// One batch of replicas in lockstep.  Phase 2 runs the scalar loop's
+/// own iteration — the detail::step template (sim/event_loop.hpp) on a
+/// (kernel, slot) accessor — so every comparison, its order and every
+/// error message are run_loop's.  What the accessor drops is exactly the
+/// work run_loop does whose results the eligible configuration can never
+/// observe: PolicyContext refreshes (the three policies read only
+/// alpha/time-since-failure/shape, all available in SoA form), the MTBF
+/// moving average (feeds only the context field), the boundary counter
+/// (same), and the no-op policy hooks.  Omitting unobservable work cannot
+/// change a byte of RunMetrics; the golden tests hold the proof.
 ///
 /// Replica state is dense: slot s of every array belongs to replica
 /// slot_replica_[s], and slots of finished replicas are compacted out so
@@ -79,14 +68,13 @@ struct TimelineArenaPoint {
 /// accumulators) stays indexed by replica.
 class BatchKernel {
  public:
-  BatchKernel(const SimulationConfig& config, AlphaMode mode,
-              double constant_alpha, double ilazy_shape,
+  BatchKernel(const SimulationConfig& config, const AlphaSource& alpha,
               const stats::Sampler& sampler, const io::ConstantStorage& storage,
               std::span<Rng> streams, std::span<RunMetrics> out)
       : config_(config),
-        mode_(mode),
-        constant_alpha_(constant_alpha),
-        pow_exponent_(1.0 - ilazy_shape),
+        mode_(alpha.mode),
+        constant_alpha_(alpha.constant_alpha),
+        pow_exponent_(1.0 - alpha.shape),
         sampler_(sampler),
         work_target_(config.compute_hours),
         budget_(config.time_budget_hours > 0.0
@@ -122,20 +110,7 @@ class BatchKernel {
       slot_replica_[i] = static_cast<std::uint32_t>(i);
     }
     if (config_.record_timeline) {
-      const double boundaries = work_target_ / config_.alpha_oci_hours;
-      const double expected_failures = work_target_ / config_.mtbf_hint_hours;
-      arena_.reserve(
-          (static_cast<std::size_t>(
-               std::min(boundaries + expected_failures, 1e6)) +
-           16) *
-          n);
-    }
-    if (mode_ == AlphaMode::kConstant) {
-      // Run-constant interval: the scalar loop re-checks it every event;
-      // one check up front decides identically (it either always passes
-      // or throws on every replica's first event).
-      require(std::isfinite(constant_alpha_) && constant_alpha_ > 0.0,
-              "policy returned a non-positive checkpoint interval");
+      arena_.reserve(detail::timeline_capacity(config_) * n);
     }
   }
 
@@ -146,7 +121,7 @@ class BatchKernel {
     // from the per-event path, and the mode split removes the per-event
     // policy-kind branch.  The synchronous timeline-off case further
     // upgrades to the AVX-512 round pass where the CPU supports it: pure
-    // boundary events advance eight lanes at a time, with the scalar
+    // boundary events advance eight lanes at a time, with the shared
     // step as the per-lane fallback (batch_simd.hpp has the exactness
     // argument).  The finite-beta gate keeps the scalar path's throw
     // timing for degenerate storage.
@@ -175,6 +150,114 @@ class BatchKernel {
   }
 
  private:
+  struct ReplicaCold {
+    explicit ReplicaCold(const Rng& stream) : rng(stream) {}
+
+    Rng rng;
+    std::array<double, kFailurePrefetch> arrivals{};
+    std::size_t arrival_pos = 0;
+    double last_arrival = 0.0;  ///< running sum of inter-arrival draws
+    double wasted_hours = 0.0;
+    double restart_hours = 0.0;
+    std::uint64_t failures = 0;
+    bool truncated = false;
+  };
+
+  /// The shared step's accessor for one slot: SoA state by reference,
+  /// run constants from the kernel, phase 1's interval, and compile-time
+  /// no-ops for the policy and MTBF hooks.
+  class Slot {
+   public:
+    static constexpr bool kTiered = false;
+
+    Slot(BatchKernel& kernel, std::size_t slot, double alpha = 0.0)
+        : k_(kernel),
+          s_(slot),
+          alpha_(alpha),
+          cold_(kernel.cold_[kernel.slot_replica_[slot]]) {}
+
+    double work_target() const { return k_.work_target_; }
+    double budget() const { return k_.budget_; }
+    std::uint64_t max_events() const { return k_.config_.max_events; }
+    bool sync() const { return k_.sync_; }
+    double checkpoint_size_gb() const { return k_.size_gb_; }
+    double checkpoint_time() const { return k_.beta_; }
+    double blocking(double) const { return k_.blocking_; }
+    double restart_time() const { return k_.gamma_; }
+
+    double& now() const { return k_.now_[s_]; }
+    double& committed() const { return k_.committed_[s_]; }
+    double& uncommitted() const { return k_.uncommitted_[s_]; }
+    std::uint8_t& has_pending() const { return k_.has_pending_[s_]; }
+    double& pending_commit_time() const {
+      return k_.pending_commit_time_[s_];
+    }
+    double& pending_work() const { return k_.pending_work_[s_]; }
+    double& last_failure() const { return k_.last_failure_[s_]; }
+    double next_failure() const { return k_.next_failure_[s_]; }
+    std::uint64_t& events() const { return k_.events_[s_]; }
+    bool& truncated() const { return cold().truncated; }
+    double& checkpoint_hours() const { return k_.ckpt_hours_[s_]; }
+    double& wasted_hours() const { return cold().wasted_hours; }
+    double& restart_hours() const { return cold().restart_hours; }
+    std::uint64_t& failures() const { return cold().failures; }
+    std::uint64_t& checkpoints_written() const { return k_.written_[s_]; }
+    double& data_written_gb() const { return k_.data_gb_[s_]; }
+
+    double next_interval() const { return alpha_; }
+    static bool skip_boundary() { return false; }  // none of them skips
+    static void observe_failure() {}
+    static void on_failure() {}
+    static void on_checkpoint_complete() {}
+
+    void pop_failure() const {
+      ReplicaCold& r = cold();
+      if (++r.arrival_pos == kFailurePrefetch) k_.refill_arrivals(r);
+      k_.next_failure_[s_] = r.arrivals[r.arrival_pos];
+    }
+
+    void snapshot() const {
+      if (!k_.config_.record_timeline) return;
+      const ReplicaCold& r = cold();
+      k_.arena_.push_back({replica(),
+                           {now(), committed(), checkpoint_hours(),
+                            r.wasted_hours, r.restart_hours}});
+    }
+
+    std::uint32_t replica() const { return k_.slot_replica_[s_]; }
+
+    /// The slot's finished run (after detail::finish).
+    RunMetrics metrics() const {
+      RunMetrics m;
+      m.makespan_hours = now();
+      m.compute_hours = committed();
+      m.checkpoint_hours = checkpoint_hours();
+      m.wasted_hours = wasted_hours();
+      m.restart_hours = restart_hours();
+      m.failures = failures();
+      m.checkpoints_written = checkpoints_written();
+      m.data_written_gb = data_written_gb();
+      return m;
+    }
+
+   private:
+    ReplicaCold& cold() const { return cold_; }
+
+    BatchKernel& k_;
+    std::size_t s_;
+    double alpha_;
+    ReplicaCold& cold_;
+  };
+
+  /// Phase 2's interval for slot s.  iLazy finishes Eq. 11 here —
+  /// α·(ratio^(1−k)) with the batched pow already applied to ratio_ —
+  /// with the identical multiply the vector pass performs.
+  template <AlphaMode kMode>
+  double alpha(std::size_t s) const {
+    return kMode == AlphaMode::kILazy ? config_.alpha_oci_hours * ratio_[s]
+                                      : constant_alpha_;
+  }
+
   template <AlphaMode kMode, bool kSync>
   void run_rounds() {
     while (count_ > 0) {
@@ -182,17 +265,12 @@ class BatchKernel {
       std::size_t write = 0;
       const std::size_t count = count_;
       for (std::size_t s = 0; s < count; ++s) {
-        // iLazy finishes Eq. 11 right here — α·(ratio^(1−k)) with the
-        // batched pow already applied to ratio_ — instead of a separate
-        // scatter pass over an alpha array.
-        const double alpha = kMode == AlphaMode::kILazy
-                                 ? config_.alpha_oci_hours * ratio_[s]
-                                 : constant_alpha_;
-        if (step<kMode, kSync>(s, alpha)) {
+        Slot slot(*this, s, alpha<kMode>(s));
+        if (detail::step<kSync>(slot)) {
           if (write != s) move_slot(s, write);
           ++write;
         } else {
-          finalize(s);
+          retire(slot);
         }
       }
       count_ = write;
@@ -200,8 +278,8 @@ class BatchKernel {
   }
 
   /// Vectorized rounds for the synchronous timeline-off case: phase 1 as
-  /// usual, then one AVX-512 pass per round with the scalar step bound
-  /// in as the impure-lane fallback; dead slots are finalized and
+  /// usual, then one AVX-512 pass per round with the shared step bound
+  /// in as the impure-lane fallback; dead slots are retired and
   /// compacted between rounds so the arrays stay dense.
   template <AlphaMode kMode>
   void run_rounds_vector() {
@@ -211,23 +289,27 @@ class BatchKernel {
       detail::batch_round_avx512(lanes(), count_, this, &step_thunk<kMode>,
                                  dead_);
       if (!dead_.empty()) {
-        for (const std::uint32_t s : dead_) finalize(s);
+        for (const std::uint32_t s : dead_) {
+          Slot slot(*this, s);
+          retire(slot);
+        }
         compact_dead();
       }
     }
   }
 
   template <AlphaMode kMode>
-  static bool step_thunk(void* kernel, std::size_t slot) {
+  static bool step_thunk(void* kernel, std::size_t s) {
     auto* self = static_cast<BatchKernel*>(kernel);
-    // Recomputes the lane's alpha with the identical multiply the vector
-    // pass performed — IEEE multiplication is deterministic, so the
-    // scalar step sees the same value bit for bit.
-    const double alpha = kMode == AlphaMode::kILazy
-                             ? self->config_.alpha_oci_hours *
-                                   self->ratio_[slot]
-                             : self->constant_alpha_;
-    return self->step<kMode, true>(slot, alpha);
+    Slot slot(*self, s, self->alpha<kMode>(s));
+    return detail::step<true>(slot);
+  }
+
+  /// Close a slot's run and store its metrics.
+  void retire(Slot& slot) {
+    detail::finish(slot);
+    total_events_ += slot.events();
+    out_[slot.replica()] = slot.metrics();
   }
 
   [[nodiscard]] detail::BatchLanes lanes() {
@@ -283,19 +365,6 @@ class BatchKernel {
     count_ = write;
   }
 
-  struct ReplicaCold {
-    explicit ReplicaCold(const Rng& stream) : rng(stream) {}
-
-    Rng rng;
-    std::array<double, kFailurePrefetch> arrivals{};
-    std::size_t arrival_pos = 0;
-    double last_arrival = 0.0;  ///< running sum of inter-arrival draws
-    double wasted_hours = 0.0;
-    double restart_hours = 0.0;
-    std::uint64_t failures = 0;
-    bool truncated = false;
-  };
-
   /// Prefetch the next kFailurePrefetch absolute failure times.  The
   /// draws come out of sample_n in the exact order repeated pop() calls
   /// would draw them, and the running sum accumulates them in that same
@@ -310,12 +379,6 @@ class BatchKernel {
     }
     r.last_arrival = base;
     r.arrival_pos = 0;
-  }
-
-  void pop_failure(std::size_t s) {
-    ReplicaCold& r = cold_[slot_replica_[s]];
-    if (++r.arrival_pos == kFailurePrefetch) refill_arrivals(r);
-    next_failure_[s] = r.arrivals[r.arrival_pos];
   }
 
   /// Phase 1: α_lazy(t) = α·(max(t, α)/α)^(1−k) for every live replica,
@@ -343,195 +406,6 @@ class BatchKernel {
     stats::pow_n(ratio_.data(), ratio_.data(), count, pow_exponent_);
   }
 
-  void snapshot(std::size_t s) {
-    if (!config_.record_timeline) return;
-    const ReplicaCold& r = cold_[slot_replica_[s]];
-    arena_.push_back({slot_replica_[s],
-                      {now_[s], committed_[s], ckpt_hours_[s], r.wasted_hours,
-                       r.restart_hours}});
-  }
-
-  void truncate_at_budget(std::size_t s) {
-    ReplicaCold& r = cold_[slot_replica_[s]];
-    r.wasted_hours += budget_ - now_[s] + uncommitted_[s];
-    uncommitted_[s] = 0.0;
-    now_[s] = budget_;
-    has_pending_[s] = 0;
-    r.truncated = true;
-  }
-
-  void commit_pending(std::size_t s) {
-    committed_[s] += pending_work_[s];
-    uncommitted_[s] -= pending_work_[s];
-    has_pending_[s] = 0;
-    ++written_[s];
-    data_gb_[s] += size_gb_;
-    snapshot(s);
-  }
-
-  /// Synchronous runs never carry a pending write across events, so the
-  /// drain check compiles away entirely.
-  template <bool kSync>
-  void process_commit_before(std::size_t s, double limit) {
-    if constexpr (kSync) return;
-    if (has_pending_[s] != 0 && pending_commit_time_[s] <= limit &&
-        pending_commit_time_[s] <= next_failure_[s]) {
-      commit_pending(s);
-    }
-  }
-
-  void register_failure(std::size_t s) {
-    last_failure_[s] = now_[s];
-    ++cold_[slot_replica_[s]].failures;
-    pop_failure(s);
-  }
-
-  template <bool kSync>
-  void handle_failure(std::size_t s) {
-    ReplicaCold& r = cold_[slot_replica_[s]];
-    const double failure_time = next_failure_[s];
-    process_commit_before<kSync>(s, failure_time);
-    if constexpr (!kSync) has_pending_[s] = 0;
-    r.wasted_hours += failure_time - now_[s] + uncommitted_[s];
-    uncommitted_[s] = 0.0;
-    now_[s] = failure_time;
-    register_failure(s);
-
-    while (true) {
-      if (gamma_ <= 0.0) break;
-      const double next = next_failure_[s];
-      if (next < now_[s] + gamma_ && next < budget_) {
-        r.wasted_hours += next - now_[s];
-        now_[s] = next;
-        register_failure(s);
-        continue;
-      }
-      if (now_[s] + gamma_ > budget_) {
-        truncate_at_budget(s);
-        break;
-      }
-      now_[s] += gamma_;
-      r.restart_hours += gamma_;
-      break;
-    }
-    snapshot(s);
-  }
-
-  /// One run_loop iteration for the replica in slot s.  Returns whether
-  /// the run is still live — false on truncation or once the work target
-  /// is met, folding the scalar while-condition's re-check into the step
-  /// itself (after a boundary the committed+uncommitted sum is unchanged
-  /// from the mid-step completion check, so the tail needs no re-test).
-  template <AlphaMode kMode, bool kSync>
-  bool step(std::size_t s, double alpha) {
-    require(++events_[s] <= config_.max_events,
-            "simulation exceeded max_events: the machine cannot make "
-            "progress under this configuration");
-    if constexpr (kMode == AlphaMode::kILazy) {
-      require(std::isfinite(alpha) && alpha > 0.0,
-              "policy returned a non-positive checkpoint interval");
-    }
-
-    // --- compute phase -------------------------------------------------
-    const double remaining = work_target_ - committed_[s] - uncommitted_[s];
-    const double chunk = std::min(alpha, remaining);
-    const double limit = std::min(now_[s] + chunk, budget_);
-    process_commit_before<kSync>(s, limit);
-    if (next_failure_[s] < limit) {
-      handle_failure<kSync>(s);
-      return !cold_[slot_replica_[s]].truncated &&
-             committed_[s] + uncommitted_[s] < work_target_;
-    }
-    if (now_[s] + chunk > budget_) {
-      truncate_at_budget(s);
-      return false;
-    }
-    now_[s] += chunk;
-    uncommitted_[s] += chunk;
-
-    if (committed_[s] + uncommitted_[s] >= work_target_) {
-      return false;  // final segment needs no checkpoint
-    }
-
-    // --- checkpoint boundary -------------------------------------------
-    // (The eligible policies never skip, so there is no skip branch.)
-    if constexpr (!kSync) {
-      if (has_pending_[s] != 0) {
-        if (next_failure_[s] < std::min(pending_commit_time_[s], budget_)) {
-          handle_failure<kSync>(s);
-          return !cold_[slot_replica_[s]].truncated &&
-                 committed_[s] + uncommitted_[s] < work_target_;
-        }
-        if (pending_commit_time_[s] > budget_) {
-          truncate_at_budget(s);
-          return false;
-        }
-        ckpt_hours_[s] += pending_commit_time_[s] - now_[s];
-        now_[s] = pending_commit_time_[s];
-        commit_pending(s);
-      }
-    }
-
-    require(std::isfinite(beta_) && beta_ > 0.0,
-            "storage model returned a non-positive checkpoint time");
-    if (next_failure_[s] < std::min(now_[s] + blocking_, budget_)) {
-      handle_failure<kSync>(s);  // partial checkpoint discarded with the work
-      return !cold_[slot_replica_[s]].truncated &&
-             committed_[s] + uncommitted_[s] < work_target_;
-    }
-    if (now_[s] + blocking_ > budget_) {
-      truncate_at_budget(s);
-      return false;
-    }
-    const double covered = uncommitted_[s];  // work this write protects
-    now_[s] += blocking_;
-    ckpt_hours_[s] += blocking_;
-    if constexpr (kSync) {
-      // Inline commit: pending_work == covered == uncommitted, so the
-      // scalar's set-pending-then-commit collapses to these exact stores
-      // (x - x is bitwise +0, matching the scalar's drain to zero).
-      committed_[s] += covered;
-      uncommitted_[s] -= covered;
-      ++written_[s];
-      data_gb_[s] += size_gb_;
-      snapshot(s);
-    } else {
-      has_pending_[s] = 1;
-      pending_work_[s] = covered;
-      pending_commit_time_[s] = now_[s] + (beta_ - blocking_);
-    }
-    return true;
-  }
-
-  void finalize(std::size_t s) {
-    const std::uint32_t replica = slot_replica_[s];
-    ReplicaCold& r = cold_[replica];
-    if (!r.truncated) {
-      committed_[s] += uncommitted_[s];
-      uncommitted_[s] = 0.0;
-    }
-    RunMetrics m;
-    m.makespan_hours = now_[s];
-    m.compute_hours = committed_[s];
-    m.checkpoint_hours = ckpt_hours_[s];
-    m.wasted_hours = r.wasted_hours;
-    m.restart_hours = r.restart_hours;
-    m.failures = r.failures;
-    m.checkpoints_written = written_[s];
-    m.data_written_gb = data_gb_[s];
-    snapshot(s);
-
-    const double attributed = m.compute_hours + m.checkpoint_hours +
-                              m.wasted_hours + m.restart_hours;
-    require(std::abs(attributed - m.makespan_hours) <=
-                1e-6 * std::max(1.0, m.makespan_hours),
-            "internal error: time attribution does not balance");
-    total_events_ += events_[s];
-    total_failures_ += r.failures;
-    total_written_ += written_[s];
-    out_[replica] = std::move(m);
-  }
-
   /// The arena holds (replica, point) in emission order; per replica that
   /// order is exactly the scalar snapshot order, so a stable scatter
   /// reproduces each timeline element-for-element.
@@ -547,14 +421,24 @@ class BatchKernel {
     }
   }
 
+  /// The scalar loop's trial counters, once per batch, plus the batch
+  /// dispatch count.
   void flush_observability() {
     if (!obs::enabled()) return;
-    BatchMetrics& bm = BatchMetrics::get();
-    bm.trials.add(out_.size());
-    bm.events.add(total_events_);
-    bm.failures.add(total_failures_);
-    bm.ckpt_written.add(total_written_);
-    bm.dispatch_batch.add(out_.size());
+    static obs::Counter& dispatch_batch =
+        obs::metrics().counter("sim.dispatch.batch");
+    std::uint64_t failures = 0;
+    std::uint64_t written = 0;
+    for (const RunMetrics& m : out_) {
+      failures += m.failures;
+      written += m.checkpoints_written;
+    }
+    detail::TrialMetrics& tm = detail::TrialMetrics::get();
+    tm.trials.add(out_.size());
+    tm.events.add(total_events_);
+    tm.failures.add(failures);
+    tm.ckpt_written.add(written);
+    dispatch_batch.add(out_.size());
   }
 
   const SimulationConfig& config_;
@@ -598,57 +482,39 @@ class BatchKernel {
   std::array<double, kFailurePrefetch> draws_{};  ///< refill scratch
 
   std::uint64_t total_events_ = 0;
-  std::uint64_t total_failures_ = 0;
-  std::uint64_t total_written_ = 0;
 
   std::span<RunMetrics> out_;
 };
 
-/// Classify an eligible policy into its phase-1 alpha mode.  Returns
-/// false for everything else (stateful policies, skip/hook wrappers,
-/// policies that read the MTBF estimate).
-bool classify_policy(const core::CheckpointPolicy& policy,
-                     const SimulationConfig& config, AlphaMode* mode,
-                     double* constant_alpha, double* shape) {
-  if (const auto* static_oci =
-          dynamic_cast<const core::StaticOciPolicy*>(&policy)) {
-    (void)static_oci;
-    *mode = AlphaMode::kConstant;
-    *constant_alpha = config.alpha_oci_hours;
-    return true;
+/// The lockstep-eligible policies — stateless, hookless, never skipping,
+/// blind to the MTBF estimate — and the phase-1 interval each reduces to
+/// under `config`; nullopt for every other policy.  batch_eligible asks
+/// this too, so admitting a fourth policy is one branch here.
+std::optional<AlphaSource> classify_policy(
+    const core::CheckpointPolicy& policy, const SimulationConfig& config) {
+  if (dynamic_cast<const core::StaticOciPolicy*>(&policy) != nullptr) {
+    return AlphaSource{AlphaMode::kConstant, config.alpha_oci_hours};
   }
   if (const auto* periodic =
           dynamic_cast<const core::PeriodicPolicy*>(&policy)) {
-    *mode = AlphaMode::kConstant;
-    *constant_alpha = periodic->interval_hours();
-    return true;
+    return AlphaSource{AlphaMode::kConstant, periodic->interval_hours()};
   }
   if (const auto* ilazy = dynamic_cast<const core::ILazyPolicy*>(&policy)) {
-    *mode = AlphaMode::kILazy;
     // Hookless runs hand the policy a context whose shape estimate is
     // pinned to config.shape_hint, so the effective shape is
-    // run-constant.  Reproduce ILazyPolicy's own validation (same
-    // requires, same messages) before trusting it for the whole batch.
-    *shape = ilazy->shape().value_or(config.shape_hint);
-    require(*shape > 0.0 && *shape <= 1.0,
-            "iLazy requires a Weibull shape estimate in (0, 1]");
-    (void)core::ILazyPolicy::lazy_interval(config.alpha_oci_hours, 0.0,
-                                           *shape);
-    return true;
+    // run-constant.
+    return AlphaSource{AlphaMode::kILazy, 0.0,
+                       ilazy->shape().value_or(config.shape_hint)};
   }
-  return false;
+  return std::nullopt;
 }
 
 }  // namespace
 
 bool batch_eligible(const core::CheckpointPolicy& policy,
                     const io::StorageModel& storage) {
-  if (dynamic_cast<const io::ConstantStorage*>(&storage) == nullptr) {
-    return false;
-  }
-  return dynamic_cast<const core::StaticOciPolicy*>(&policy) != nullptr ||
-         dynamic_cast<const core::PeriodicPolicy*>(&policy) != nullptr ||
-         dynamic_cast<const core::ILazyPolicy*>(&policy) != nullptr;
+  return dynamic_cast<const io::ConstantStorage*>(&storage) != nullptr &&
+         classify_policy(policy, SimulationConfig{}).has_value();
 }
 
 void simulate_batch(const SimulationConfig& config,
@@ -661,12 +527,10 @@ void simulate_batch(const SimulationConfig& config,
   if (streams.empty()) return;
   config.validate();
 
-  AlphaMode mode = AlphaMode::kConstant;
-  double constant_alpha = 0.0;
-  double shape = 1.0;
   const auto* constant = dynamic_cast<const io::ConstantStorage*>(&storage);
-  if (constant == nullptr ||
-      !classify_policy(policy, config, &mode, &constant_alpha, &shape)) {
+  const std::optional<AlphaSource> alpha =
+      constant != nullptr ? classify_policy(policy, config) : std::nullopt;
+  if (!alpha.has_value()) {
     // Not lockstep-eligible: the scalar sweep's per-replica body, with
     // identical results.
     for (std::size_t i = 0; i < streams.size(); ++i) {
@@ -678,10 +542,18 @@ void simulate_batch(const SimulationConfig& config,
     }
     return;
   }
+  if (alpha->mode == AlphaMode::kILazy) {
+    // Reproduce ILazyPolicy's own validation (same requires, same
+    // messages) before trusting the shape for the whole batch.
+    require(alpha->shape > 0.0 && alpha->shape <= 1.0,
+            "iLazy requires a Weibull shape estimate in (0, 1]");
+    (void)core::ILazyPolicy::lazy_interval(config.alpha_oci_hours, 0.0,
+                                           alpha->shape);
+  }
 
   const obs::TraceSpan span("sim.batch");
-  BatchKernel kernel(config, mode, constant_alpha, shape,
-                     inter_arrival.sampler(), *constant, streams, out);
+  BatchKernel kernel(config, *alpha, inter_arrival.sampler(), *constant,
+                     streams, out);
   kernel.run();
 }
 

@@ -3,14 +3,14 @@
 ///
 /// Bit-identity argument: a "pure" event — next failure beyond the
 /// checkpoint boundary, no budget interaction, work target not reached —
-/// takes a straight-line path through the scalar step() consisting only
+/// takes a straight-line path through the shared step() consisting only
 /// of adds, subtracts, one multiply (iLazy's alpha), two std::min calls,
 /// and comparisons.  All of those are IEEE-754 correctly rounded, so the
 /// eight-lane versions below produce bitwise the scalar results as long
 /// as the association order matches — which it does, statement for
 /// statement (see the lane trace in comments).  Lanes for which ANY of
 /// the special conditions holds are not touched by the vector stores;
-/// the caller's scalar step() re-derives their event from unmodified
+/// the shared step() (via the caller) re-derives their event from unmodified
 /// state, including the exact throw behavior for max_events and
 /// non-finite intervals.
 ///

@@ -10,7 +10,8 @@
 /// operation it performs (add, sub, mul, min, compare) is IEEE-754
 /// correctly rounded and therefore bitwise identical to the scalar
 /// statement it replaces; lanes where any special condition might hold
-/// fall back to the kernel's scalar step on untouched state.  The pass is
+/// fall back to the shared event-loop step (detail::step in
+/// sim/event_loop.hpp) on untouched state.  The pass is
 /// only used for synchronous checkpoints (blocking fraction 1.0) with
 /// timeline recording off, where a pure boundary touches nothing but the
 /// dense slot arrays below.
@@ -48,7 +49,7 @@ struct BatchLanes {
   std::uint64_t max_events;     ///< config.max_events
 };
 
-/// Scalar fallback for one impure lane: runs the kernel's step() on slot
+/// Scalar fallback for one impure lane: runs the shared step on slot
 /// `slot` and returns whether the replica is still live.  May throw; the
 /// vector round must stay exception-transparent.
 using BatchStepFn = bool (*)(void* kernel, std::size_t slot);

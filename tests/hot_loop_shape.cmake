@@ -1,63 +1,111 @@
-# Code shape of the flat hot loop.  run_loop (src/sim/event_loop.hpp) is
-# written as a set of local lambdas, and its speed depends on GCC inlining
-# all of them but the rare failure path.  No timing gate sees a lambda
-# fall out of line, so this test reads the compiled engine.cpp.o with
-# `nm -C` instead.  Driven by the sim_hot_loop_shape CTest case (GCC 12
-# Release builds only: the numbering and the inlining below were checked
+# Code shape of the event loop.  One iteration, step() in
+# src/sim/event_loop.hpp, is a set of function templates over a run-state
+# accessor, and the loop's speed depends on every piece of it being
+# inlined into the loop that runs it — except the rare failure path.  No
+# timing gate sees a helper fall out of line, so this test reads the
+# compiled objects with `nm -C` instead.  Driven by the sim_hot_loop_shape
+# CTest case (GCC 12 Release builds only: the inlining below was checked
 # with GCC 12.2; before registering it for another version, build with
 # that version and check the `nm -C` listing against this comment) with:
 #   -DNM=<nm> -DOBJECTS=<lazyckpt_sim objects, '|'-separated>
 #
-# GCC numbers run_loop's lambdas in source order:
-#   #1 pop_failure           #6 snapshot
-#   #2 checkpoint_time_at    #7 commit_pending
-#   #3 update_mtbf_field     #8 process_commit_before
-#   #4 refresh_context       #9 restart_time_at
-#   #5 truncate_at_budget   #10 handle_failure (register_failure nests in it)
-# Expected: in every NoTiers (flat) instantiation, handle_failure is the
-# only lambda kept out of line.  The tiered instantiations in
-# hierarchy.cpp.o keep commit_pending (#7) out of line too; that is known
-# and not checked here.  When event_loop.hpp adds, removes or reorders a
-# lambda, renumber the list above and kAllowed below to match.
+# Checked objects and what each may keep out of line from the shared loop
+# code (the event_loop.hpp templates and the accessors):
+#   engine.cpp.o     flat run_loop instances and handle_failure
+#   hierarchy.cpp.o  tiered run_loop instances and handle_failure
+#   batch.cpp.o      handle_failure only; step must be inlined into every
+#                    BatchKernel::run_rounds instance and step_thunk
+# Also allowed anywhere: dispatch, timeline_capacity, the telemetry structs
+# and RunState's constructor and destructor, none of which runs per event.
+# Any other function from the shared code — step, commit, commit_pending,
+# process_commit_before, truncate_at_budget, register_failure, live,
+# finish, or a RunState / BatchKernel::Slot member — fails the test.
 
-set(kAllowed "::{lambda()#10}::operator()() const")
+set(kShared "lazyckpt::sim::detail::{anon}::")
+set(kAllowed
+  "${kShared}run_loop"
+  "${kShared}handle_failure"
+  "${kShared}dispatch"
+  "${kShared}timeline_capacity"
+  "${kShared}RunState::RunState"
+  "${kShared}RunState::~RunState")
 
-string(REPLACE "|" ";" objects "${OBJECTS}")
-list(FILTER objects INCLUDE REGEX "/engine\\.cpp\\.o(bj)?$")
-list(LENGTH objects object_count)
-if(NOT object_count EQUAL 1)
-  message(FATAL_ERROR "expected one engine.cpp object, got: ${objects}")
-endif()
+# The qualified name of the function an `nm -C` text symbol defines:
+# template arguments, the parameter list and the return type stripped.
+function(function_name symbol out)
+  string(REGEX REPLACE "^[0-9a-fA-F]* *[tTwW] " "" name "${symbol}")
+  string(REPLACE "(anonymous namespace)" "{anon}" name "${name}")
+  set(previous "")
+  while(NOT name STREQUAL previous)
+    set(previous "${name}")
+    string(REGEX REPLACE "<[^<>]*>" "" name "${name}")
+  endwhile()
+  string(REGEX REPLACE "\\(.*$" "" name "${name}")
+  string(REGEX REPLACE "^.* " "" name "${name}")
+  set(${out} "${name}" PARENT_SCOPE)
+endfunction()
 
-execute_process(
-  COMMAND "${NM}" -C "${objects}"
-  RESULT_VARIABLE nm_status
-  OUTPUT_VARIABLE symbols
-  ERROR_VARIABLE nm_error)
-if(NOT nm_status EQUAL 0)
-  message(FATAL_ERROR "nm failed (${nm_status}): ${nm_error}")
-endif()
+string(REPLACE "|" ";" all_objects "${OBJECTS}")
+set(failures "")
+foreach(unit engine hierarchy batch)
+  set(objects ${all_objects})
+  list(FILTER objects INCLUDE REGEX "/${unit}\\.cpp\\.o(bj)?$")
+  list(LENGTH objects object_count)
+  if(NOT object_count EQUAL 1)
+    message(FATAL_ERROR "expected one ${unit}.cpp object, got: ${objects}")
+  endif()
 
-string(REGEX MATCHALL "[^\n]*run_loop<[^\n]*NoTiers>[^\n]*" flat
-       "${symbols}")
-if(flat STREQUAL "")
-  message(FATAL_ERROR
-    "engine.cpp.o has no NoTiers run_loop symbol at all; if the loop is "
-    "now fully inlined, update this test's expectation")
-endif()
+  execute_process(
+    COMMAND "${NM}" -C "${objects}"
+    RESULT_VARIABLE nm_status
+    OUTPUT_VARIABLE symbols
+    ERROR_VARIABLE nm_error)
+  if(NOT nm_status EQUAL 0)
+    message(FATAL_ERROR "nm failed (${nm_status}): ${nm_error}")
+  endif()
 
-set(outlined "")
-foreach(symbol IN LISTS flat)
-  # What follows run_loop's parameter list names the lambda, if any.
-  string(REGEX REPLACE "^.*NoTiers&\\)" "" tail "${symbol}")
-  string(REGEX REPLACE "( \\[clone [^]]*\\])+$" "" tail "${tail}")
-  if(tail MATCHES "lambda" AND NOT tail STREQUAL kAllowed)
-    string(APPEND outlined "\n  ${symbol}")
+  string(REGEX MATCHALL "[0-9a-fA-F]+ [tTwW] [^\n]*" text "${symbols}")
+  set(seen "")
+  foreach(symbol IN LISTS text)
+    function_name("${symbol}" name)
+    list(APPEND seen "${name}")
+    set(slot "lazyckpt::sim::\\{anon\\}::BatchKernel::Slot::")
+    if(NOT name MATCHES "^(lazyckpt::sim::detail::\\{anon\\}::|${slot})")
+      continue()
+    endif()
+    set(allowed FALSE)
+    foreach(prefix IN LISTS kAllowed)
+      if(name STREQUAL prefix)
+        set(allowed TRUE)
+      endif()
+    endforeach()
+    if(name MATCHES "^lazyckpt::sim::detail::\\{anon\\}::(Engine|Trial)Metrics")
+      set(allowed TRUE)
+    endif()
+    if(NOT allowed)
+      string(APPEND failures "\n  ${unit}.cpp.o: ${symbol}")
+    endif()
+  endforeach()
+
+  # Guard against checking nothing: each object must still define the
+  # function the loop lives in.
+  if(unit STREQUAL "batch")
+    set(anchor "lazyckpt::sim::{anon}::BatchKernel::step_thunk")
+  else()
+    set(anchor "${kShared}run_loop")
+  endif()
+  list(FIND seen "${anchor}" anchor_index)
+  if(anchor_index EQUAL -1)
+    message(FATAL_ERROR
+      "${unit}.cpp.o defines no ${anchor}; if the loop moved or is now "
+      "fully inlined, update this test's expectation")
   endif()
 endforeach()
-if(NOT outlined STREQUAL "")
+
+if(NOT failures STREQUAL "")
   message(FATAL_ERROR
-    "a flat run_loop lambda other than handle_failure is out of line:"
-    "${outlined}")
+    "a piece of the shared event-loop step other than handle_failure is "
+    "out of line:${failures}")
 endif()
-message(STATUS "flat run_loop keeps only handle_failure out of line")
+message(STATUS "engine, hierarchy and batch keep only handle_failure out "
+               "of line")

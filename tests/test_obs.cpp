@@ -37,6 +37,7 @@
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sim/batch.hpp"
 #include "sim/engine.hpp"
 #include "sim/failure_source.hpp"
 #include "sim/hierarchy.hpp"
@@ -601,6 +602,63 @@ TEST_F(ObsTest, HierarchyRunsFlushEngineCounters) {
   ASSERT_NE(level, nullptr);
   EXPECT_EQ(level->count, restores_before + failures);
   EXPECT_EQ(level->bucket_bounds, (std::vector<double>{0.0, 1.0, 2.0, 3.0}));
+}
+
+/// The batch kernel flushes the scalar loop's trial counters: one eligible
+/// sweep, run batched and then replica by replica through simulate(),
+/// moves every `sim.*` trial counter by the same amount.
+TEST_F(ObsTest, BatchedAndScalarSweepsFlushTheSameCounters) {
+  obs::set_enabled(true);
+  sim::SimulationConfig config;
+  config.compute_hours = 200.0;
+  config.alpha_oci_hours = core::daly_oci(0.5, 11.0);
+  config.mtbf_hint_hours = 11.0;
+  config.shape_hint = 0.6;
+  config.checkpoint_blocking_fraction = 0.6;
+  const io::ConstantStorage storage(0.5, 0.5, 2.0);
+  const auto policy = core::make_policy("ilazy:0.6");
+  const stats::Exponential mtbf = stats::Exponential::from_mean(11.0);
+  ASSERT_TRUE(sim::batch_eligible(*policy, storage));
+  constexpr std::size_t kReplicas = 21;
+  constexpr std::uint64_t kSeed = 4243;
+
+  constexpr const char* kCounters[] = {
+      "sim.trials", "sim.events", "sim.failures", "sim.checkpoints_written",
+      "sim.checkpoints_skipped", "sim.dispatch.batch"};
+  const auto deltas = [&](const auto& sweep) {
+    std::vector<std::uint64_t> before;
+    for (const char* name : kCounters) {
+      before.push_back(obs::metrics().counter(name).value());
+    }
+    sweep();
+    std::vector<std::uint64_t> moved;
+    for (std::size_t i = 0; i < std::size(kCounters); ++i) {
+      moved.push_back(obs::metrics().counter(kCounters[i]).value() -
+                      before[i]);
+    }
+    return moved;
+  };
+  const std::vector<std::uint64_t> batched = deltas([&] {
+    (void)sim::run_replicas_batched(config, *policy, mtbf, storage, kReplicas,
+                                    kSeed, 8);
+  });
+  const std::vector<std::uint64_t> scalar = deltas([&] {
+    Rng master(kSeed);
+    for (std::size_t i = 0; i < kReplicas; ++i) {
+      sim::RenewalFailureSource source(mtbf, master.split());
+      const auto replica_policy = policy->clone();
+      (void)sim::simulate(config, *replica_policy, source, storage);
+    }
+  });
+
+  EXPECT_EQ(batched[0], kReplicas);
+  EXPECT_GT(batched[2], 0u) << "the sweep should see failures";
+  for (std::size_t i = 0; i + 1 < std::size(kCounters); ++i) {
+    EXPECT_EQ(batched[i], scalar[i]) << kCounters[i];
+  }
+  // Only the dispatch counter tells the paths apart.
+  EXPECT_EQ(batched.back(), kReplicas);
+  EXPECT_EQ(scalar.back(), 0u);
 }
 
 /// Tiered sweeps run through the same replica driver as flat ones, so they
