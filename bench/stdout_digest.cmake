@@ -1,7 +1,8 @@
-# Run one bench binary at full size and require the SHA-256 of its stdout
-# to equal the committed digest: any moved digit of the printed figure
-# fails here.  Driven by the e2e_<bench>_stdout CTest cases with:
-#   -DBENCH_BIN=<bench binary> -DEXPECTED=<sha256 hex>
+# Run one bench or example binary with no arguments (benches at full size)
+# and require the SHA-256 of its stdout to equal the committed digest: any
+# moved digit of the printed output fails here.  Driven by the
+# e2e_<name>_stdout CTest cases with:
+#   -DBENCH_BIN=<binary> -DEXPECTED=<sha256 hex>
 # Re-record a digest only for a change meant to move that figure, and say
 # so in the change description.
 
