@@ -21,14 +21,6 @@ void Histogram::observe(double v) noexcept {
     }
   }
   counts_[bucket].fetch_add(1, std::memory_order_relaxed);
-  double current = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(current, current + v,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
-double Histogram::sum() const noexcept {
-  return sum_.load(std::memory_order_relaxed);
 }
 
 std::vector<std::uint64_t> Histogram::counts() const {
@@ -51,7 +43,6 @@ void Histogram::reset() noexcept {
   for (std::size_t i = 0; i <= bounds_.size(); ++i) {
     counts_[i].store(0, std::memory_order_relaxed);
   }
-  sum_.store(0.0, std::memory_order_relaxed);
 }
 
 const MetricValue* MetricsSnapshot::find(std::string_view name) const {
@@ -165,7 +156,6 @@ MetricsSnapshot Registry::snapshot() const {
     entry.name = name;
     entry.kind = MetricValue::Kind::kHistogram;
     entry.count = histogram->total();
-    entry.sum = histogram->sum();
     entry.bucket_bounds = histogram->bounds();
     entry.bucket_counts = histogram->counts();
     snap.entries.push_back(std::move(entry));

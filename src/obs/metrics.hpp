@@ -79,17 +79,11 @@ class Histogram {
   /// Per-bucket counts; counts.size() == bounds().size() + 1 (overflow).
   [[nodiscard]] std::vector<std::uint64_t> counts() const;
   [[nodiscard]] std::uint64_t total() const noexcept;
-  /// Sum of every observed value (Prometheus `_sum` series).  Accumulated
-  /// with relaxed CAS adds, so under concurrent observers the float-add
-  /// order — and hence the last bits — is telemetry-grade, not
-  /// golden-master-grade.
-  [[nodiscard]] double sum() const noexcept;
   void reset() noexcept;
 
  private:
   std::vector<double> bounds_;  ///< ascending upper bounds
   std::unique_ptr<std::atomic<std::uint64_t>[]> counts_;
-  std::atomic<double> sum_{0.0};
 };
 
 /// One instrument's value at snapshot time.
@@ -99,7 +93,6 @@ struct MetricValue {
   Kind kind = Kind::kCounter;
   std::uint64_t count = 0;                   ///< counter / histogram total
   double value = 0.0;                        ///< gauge
-  double sum = 0.0;                          ///< histogram observation sum
   std::vector<double> bucket_bounds;         ///< histogram
   std::vector<std::uint64_t> bucket_counts;  ///< histogram (+overflow slot)
 };

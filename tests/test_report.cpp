@@ -1,5 +1,5 @@
-/// Tests for the deterministic run report and the Prometheus exposition
-/// (src/obs/report.*, src/obs/prometheus.*, DESIGN.md §5f).
+/// Tests for the deterministic run report (src/obs/report.*, DESIGN.md
+/// §5f).
 ///
 /// The report renderer is a pure function of RunReportInputs, so the
 /// central test here is an exact-JSON golden over synthetic inputs: every
@@ -11,13 +11,11 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/prometheus.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 
@@ -204,38 +202,11 @@ TEST(RunReport, WriteFileRoundTripsAndReportsFailure) {
       inputs, "/nonexistent-lazyckpt-dir/report.json"));
 }
 
-// ---- Prometheus exposition -----------------------------------------------
-
-const char kGoldenPrometheus[] =
-    "# TYPE lazyckpt_cache_hits counter\n"
-    "lazyckpt_cache_hits 3\n"
-    "# TYPE lazyckpt_cr_write_latency_seconds histogram\n"
-    "lazyckpt_cr_write_latency_seconds_bucket{le=\"1\"} 1\n"
-    "lazyckpt_cr_write_latency_seconds_bucket{le=\"2\"} 2\n"
-    "lazyckpt_cr_write_latency_seconds_bucket{le=\"+Inf\"} 2\n"
-    "lazyckpt_cr_write_latency_seconds_sum 2\n"
-    "lazyckpt_cr_write_latency_seconds_count 2\n"
-    "# TYPE lazyckpt_sim_replicas_done gauge\n"
-    "lazyckpt_sim_replicas_done 2\n";
-
-TEST(Prometheus, RendersExactGoldenExposition) {
+/// The simulator's per-tier histogram (src/sim/hierarchy.cpp) renders in
+/// the metrics block under its exact name: a zero bound prints as 0, and
+/// an observation equal to a bound counts in that bound's bucket.
+TEST(RunReport, TierRestoreLevelRendersInMetricsBlock) {
   obs::Registry registry;
-  (void)golden_inputs(registry);
-  const obs::MetricsSnapshot snap = registry.snapshot();
-  EXPECT_EQ(obs::to_prometheus(snap), kGoldenPrometheus);
-  // Deterministic: a second render of the same snapshot is byte-equal.
-  EXPECT_EQ(obs::to_prometheus(snap), obs::to_prometheus(snap));
-}
-
-/// The per-tier instruments the tiered checkpoint manager and the
-/// hierarchy simulator register (src/cr/tiered_manager.cpp,
-/// src/sim/hierarchy.cpp) flow through both sinks under these exact
-/// names: the report's metrics block and the Prometheus exposition.
-TEST(Prometheus, TierMetricsRenderInReportAndExposition) {
-  obs::Registry registry;
-  registry.counter("cr.tier.writes").add(5);
-  registry.counter("cr.tier.evictions").add(2);
-  registry.counter("cr.tier.bytes").add(768);
   const double level_bounds[] = {0.0, 1.0, 2.0, 3.0};
   obs::Histogram& levels =
       registry.histogram("sim.tier.restore_level", {level_bounds, 4});
@@ -247,129 +218,11 @@ TEST(Prometheus, TierMetricsRenderInReportAndExposition) {
   inputs.tool = "unit-test";
   inputs.metrics = registry.snapshot();
   const std::string json = obs::render_run_report(inputs);
-  EXPECT_NE(json.find("\"cr.tier.bytes\": 768"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"cr.tier.evictions\": 2"), std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"cr.tier.writes\": 5"), std::string::npos) << json;
   EXPECT_NE(
       json.find("\"sim.tier.restore_level\": {\"buckets\": [0, 1, 2, 3], "
                 "\"counts\": [2, 0, 1, 0, 0]}"),
       std::string::npos)
       << json;
-
-  const char kGoldenTierExposition[] =
-      "# TYPE lazyckpt_cr_tier_bytes counter\n"
-      "lazyckpt_cr_tier_bytes 768\n"
-      "# TYPE lazyckpt_cr_tier_evictions counter\n"
-      "lazyckpt_cr_tier_evictions 2\n"
-      "# TYPE lazyckpt_cr_tier_writes counter\n"
-      "lazyckpt_cr_tier_writes 5\n"
-      "# TYPE lazyckpt_sim_tier_restore_level histogram\n"
-      "lazyckpt_sim_tier_restore_level_bucket{le=\"0\"} 2\n"
-      "lazyckpt_sim_tier_restore_level_bucket{le=\"1\"} 2\n"
-      "lazyckpt_sim_tier_restore_level_bucket{le=\"2\"} 3\n"
-      "lazyckpt_sim_tier_restore_level_bucket{le=\"3\"} 3\n"
-      "lazyckpt_sim_tier_restore_level_bucket{le=\"+Inf\"} 3\n"
-      "lazyckpt_sim_tier_restore_level_sum 2\n"
-      "lazyckpt_sim_tier_restore_level_count 3\n";
-  EXPECT_EQ(obs::to_prometheus(registry.snapshot()), kGoldenTierExposition);
-}
-
-/// Split `text` into lines, dropping the trailing empty fragment.
-std::vector<std::string> split_lines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    lines.push_back(text.substr(start, end - start));
-    start = end + 1;
-  }
-  return lines;
-}
-
-bool is_metric_ident(const std::string& name) {
-  if (name.empty()) return false;
-  for (const char c : name) {
-    const bool ok =
-        (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_';
-    if (!ok) return false;
-  }
-  return true;
-}
-
-/// One line of text exposition format: either a `# TYPE` header for a
-/// `lazyckpt_`-prefixed metric, or `<series> <value>` where the series is
-/// a `lazyckpt_` identifier with an optional `_bucket{le="..."}` suffix
-/// and the value parses as a number in full.
-bool prometheus_line_ok(const std::string& line) {
-  if (line.rfind("# TYPE ", 0) == 0) {
-    const std::size_t space = line.rfind(' ');
-    if (space <= 7) return false;
-    const std::string kind = line.substr(space + 1);
-    if (kind != "counter" && kind != "gauge" && kind != "histogram") {
-      return false;
-    }
-    const std::string name = line.substr(7, space - 7);
-    if (name.rfind("lazyckpt_", 0) != 0) return false;
-    return is_metric_ident(name.substr(9));
-  }
-
-  const std::size_t space = line.rfind(' ');
-  if (space == std::string::npos) return false;
-  std::string series = line.substr(0, space);
-  const std::string value = line.substr(space + 1);
-
-  // Optional histogram bucket label.
-  const std::size_t brace = series.find('{');
-  if (brace != std::string::npos) {
-    const std::string label = series.substr(brace);
-    series = series.substr(0, brace);
-    if (label.rfind("{le=\"", 0) != 0 || label.back() != '}') return false;
-    if (series.size() < 7 ||
-        series.compare(series.size() - 7, 7, "_bucket") != 0) {
-      return false;
-    }
-  }
-  if (series.rfind("lazyckpt_", 0) != 0) return false;
-  if (!is_metric_ident(series.substr(9))) return false;
-
-  if (value.empty()) return false;
-  char* end = nullptr;
-  (void)std::strtod(value.c_str(), &end);
-  return end != nullptr && *end == '\0';
-}
-
-TEST(Prometheus, EveryLineMatchesTheTextExpositionFormat) {
-  obs::Registry registry;
-  (void)golden_inputs(registry);
-  const std::string text = obs::to_prometheus(registry.snapshot());
-  ASSERT_FALSE(text.empty());
-  ASSERT_EQ(text.back(), '\n');
-  for (const std::string& line : split_lines(text)) {
-    EXPECT_TRUE(prometheus_line_ok(line)) << "bad line: " << line;
-  }
-}
-
-TEST(Prometheus, TypeHeadersAreNameOrdered) {
-  obs::Registry registry;
-  registry.counter("zz.tail").add(1);
-  registry.gauge("aa.head").set(1.0);
-  const double bounds[] = {1.0};
-  registry.histogram("mm.mid", {bounds, 1}).observe(0.5);
-
-  std::vector<std::string> names;
-  for (const std::string& line :
-       split_lines(obs::to_prometheus(registry.snapshot()))) {
-    if (line.rfind("# TYPE ", 0) == 0) {
-      const std::size_t space = line.rfind(' ');
-      names.push_back(line.substr(7, space - 7));
-    }
-  }
-  ASSERT_EQ(names.size(), 3u);
-  EXPECT_EQ(names[0], "lazyckpt_aa_head");
-  EXPECT_EQ(names[1], "lazyckpt_mm_mid");
-  EXPECT_EQ(names[2], "lazyckpt_zz_tail");
 }
 
 }  // namespace

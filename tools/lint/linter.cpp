@@ -70,7 +70,7 @@ constexpr std::array<std::pair<Rule, std::string_view>, 10> kRuleRationales =
     {Rule::kMetricNameStyle,
      "metric and trace span names registered from src/ are one shared "
      "namespace keyed by the obs registry, the run report, and the "
-     "Prometheus exposition; they must be lowercase dot-separated "
+     "trace file; they must be lowercase dot-separated "
      "([a-z][a-z0-9_]* segments, at least two), e.g. cache.hits"},
 }};
 
@@ -1056,7 +1056,7 @@ std::vector<Finding> lint_source(std::string_view file_label,
       report(t.line, Rule::kMetricNameStyle,
              "metric/span name \"" + name +
                  "\" is not lowercase dot-separated: the obs registry, run "
-                 "reports, and the Prometheus exposition share this "
+                 "reports, and trace files share this "
                  "namespace (want at least two [a-z][a-z0-9_]* segments, "
                  "e.g. \"cache.hits\")");
     }

@@ -99,8 +99,7 @@ enum class Rule {
   /// Metric and trace span names registered from src/ must be lowercase
   /// dot-separated — `cache.hits`, `sim.replicas_done` — i.e. at least
   /// two `[a-z][a-z0-9_]*` segments.  The obs registry, the run report,
-  /// and the Prometheus exposition (which mangles dots to underscores
-  /// under a `lazyckpt_` prefix) all key on these strings, so a stray
+  /// and the trace file all key on these strings, so a stray
   /// CamelCase or dotless name silently forks the namespace.  Flagged at
   /// the registration site: counter/gauge/histogram/instant/record_begin/
   /// record_end/flow_* calls and TraceSpan/ScopedFlow constructions whose
