@@ -78,14 +78,14 @@ Recommendation advise(const AdvisorInput& input, std::uint64_t seed,
   config.shape_hint = std::min(rec.weibull_shape, 1.0);
   const io::ConstantStorage storage(rec.beta_hours, rec.beta_hours,
                                     input.checkpoint_size_gb);
-  const auto base = run_replicas(config, *core::make_policy("static-oci"),
-                                 weibull, storage, replicas, seed);
-  const auto chosen = run_replicas(config, *core::make_policy(rec.policy_spec),
-                                   weibull, storage, replicas, seed);
+  rec.base = run_replicas(config, *core::make_policy("static-oci"), weibull,
+                          storage, replicas, seed);
+  rec.chosen = run_replicas(config, *core::make_policy(rec.policy_spec),
+                            weibull, storage, replicas, seed);
   rec.projected_io_saving =
-      1.0 - chosen.mean_checkpoint_hours / base.mean_checkpoint_hours;
+      1.0 - rec.chosen.mean_checkpoint_hours / rec.base.mean_checkpoint_hours;
   rec.projected_runtime_change =
-      chosen.mean_makespan_hours / base.mean_makespan_hours - 1.0;
+      rec.chosen.mean_makespan_hours / rec.base.mean_makespan_hours - 1.0;
   return rec;
 }
 

@@ -7,9 +7,12 @@
 /// entry point that ties the whole library together (fitting → OCI →
 /// policy selection → projected savings).
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
+
+#include "sim/metrics.hpp"
 
 namespace lazyckpt::sim {
 
@@ -36,6 +39,8 @@ struct Recommendation {
 
   // The recommendation and its simulated projection vs static OCI.
   std::string policy_spec;              ///< e.g. "ilazy:0.58"
+  AggregateMetrics base;    ///< static OCI on the fitted Weibull model
+  AggregateMetrics chosen;  ///< policy_spec on the same replica streams
   double projected_io_saving = 0.0;     ///< fraction of ckpt I/O removed
   double projected_runtime_change = 0.0;///< fraction (positive = slower)
 };

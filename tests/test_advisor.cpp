@@ -77,6 +77,20 @@ TEST(Advisor, DeterministicInSeed) {
   EXPECT_EQ(a.policy_spec, b.policy_spec);
 }
 
+TEST(Advisor, ProjectionIsReadOffBothSweeps) {
+  const auto gaps =
+      draw(stats::Weibull::from_mtbf_and_shape(11.0, 0.6), 1000, 4);
+  const auto rec = advise(input_for(gaps), 7, 20);
+  EXPECT_EQ(rec.base.replicas, 20u);
+  EXPECT_EQ(rec.chosen.replicas, 20u);
+  EXPECT_DOUBLE_EQ(rec.projected_io_saving,
+                   1.0 - rec.chosen.mean_checkpoint_hours /
+                             rec.base.mean_checkpoint_hours);
+  EXPECT_DOUBLE_EQ(
+      rec.projected_runtime_change,
+      rec.chosen.mean_makespan_hours / rec.base.mean_makespan_hours - 1.0);
+}
+
 TEST(Advisor, PolicySpecIsFactoryParsable) {
   const auto gaps =
       draw(stats::Weibull::from_mtbf_and_shape(7.5, 0.55), 1000, 5);
