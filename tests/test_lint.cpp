@@ -602,8 +602,12 @@ TEST(LintLexer, DigitSeparatorsStayOneNumberToken) {
   for (const auto& t : toks) {
     if (t.kind != lint::TokenKind::kNumber) continue;
     ++numbers;
-    if (t.spelling == "1'000'000") EXPECT_FALSE(t.is_float);
-    if (t.spelling == "1'234.5") EXPECT_TRUE(t.is_float);
+    if (t.spelling == "1'000'000") {
+      EXPECT_FALSE(t.is_float);
+    }
+    if (t.spelling == "1'234.5") {
+      EXPECT_TRUE(t.is_float);
+    }
   }
   EXPECT_EQ(numbers, 2);
 }

@@ -65,9 +65,11 @@ TEST(ParallelConfig, MalformedEnvThrows) {
     const ScopedThreadsEnv env(bad);
     if (*bad == '\0') {
       // Empty counts as unset, not malformed.
-      EXPECT_NO_THROW(ParallelConfig{}.resolve());
+      EXPECT_NO_THROW(static_cast<void>(ParallelConfig{}.resolve()));
     } else {
-      EXPECT_THROW(ParallelConfig{}.resolve(), InvalidArgument) << bad;
+      EXPECT_THROW(static_cast<void>(ParallelConfig{}.resolve()),
+                   InvalidArgument)
+          << bad;
     }
   }
 }
