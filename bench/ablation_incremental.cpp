@@ -16,10 +16,10 @@ using namespace lazyckpt::bench;
 
 namespace {
 
-/// Average on-disk bytes per save for a given change rate / full period.
-double bytes_per_save(double change_fraction, int full_every) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   "lazyckpt_ablation_inc";
+/// Average on-disk bytes per save over `saves` saves for a given change
+/// rate / full period.
+double bytes_per_save(double change_fraction, int full_every, int saves) {
+  const auto dir = scratch_dir("lazyckpt_ablation_inc");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 
@@ -29,7 +29,6 @@ double bytes_per_save(double change_fraction, int full_every) {
   cr::IncrementalCheckpointer inc(registry, dir.string(), full_every);
 
   Rng rng(61);
-  const int saves = 24;
   for (int s = 0; s < saves; ++s) {
     const auto touches =
         static_cast<std::size_t>(change_fraction * state.size());
@@ -47,9 +46,12 @@ double bytes_per_save(double change_fraction, int full_every) {
 }  // namespace
 
 int main() {
+  // Smoke mode keeps every change rate and full period but runs 4 saves,
+  // so full_every 4 and 16 still write one full checkpoint and 3 deltas.
+  const int saves = smoke_mode() ? 4 : 24;
   print_banner("Ablation — incremental checkpoint write volume");
-  print_params("2 MiB registered state, 24 saves, seed 61; cells = mean "
-               "on-disk bytes per save");
+  print_params("2 MiB registered state, " + std::to_string(saves) +
+               " saves, seed 61; cells = mean on-disk bytes per save");
 
   const double full_size = 256.0 * 1024.0 * 8.0;
   std::printf("full checkpoint size: %.0f bytes\n\n", full_size);
@@ -59,7 +61,7 @@ int main() {
   for (const double change : {0.001, 0.01, 0.1, 1.0}) {
     std::vector<std::string> row = {TextTable::percent(change, 1)};
     for (const int every : {1, 4, 16}) {
-      row.push_back(TextTable::num(bytes_per_save(change, every), 0));
+      row.push_back(TextTable::num(bytes_per_save(change, every, saves), 0));
     }
     table.add_row(row);
   }

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <thread>
 
@@ -119,6 +120,14 @@ inline bool smoke_mode() {
 /// LAZYCKPT_BENCH_SMOKE.
 inline std::size_t bench_replicas(std::size_t n) {
   return smoke_mode() ? std::min<std::size_t>(n, 3) : n;
+}
+
+/// A scratch directory `<stem>_<pid>` under the system temp directory:
+/// the pid suffix keeps two concurrent runs of one binary out of each
+/// other's files.  The caller creates and removes it.
+inline std::filesystem::path scratch_dir(const std::string& stem) {
+  return std::filesystem::temp_directory_path() /
+         (stem + "_" + std::to_string(static_cast<long long>(::getpid())));
 }
 
 #ifndef LAZYCKPT_BUILD_TYPE

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "common/crc32.hpp"
 #include "common/random.hpp"
 #include "common/rle.hpp"
@@ -110,8 +111,7 @@ void BM_Crc32(benchmark::State& state) {
 BENCHMARK(BM_Crc32)->Arg(1 << 16)->Arg(1 << 20);
 
 void BM_CheckpointWriteRead(benchmark::State& state) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / "lazyckpt_bench_ckpt";
+  const auto dir = bench::scratch_dir("lazyckpt_bench_ckpt");
   std::filesystem::create_directories(dir);
   const std::string path = (dir / "bench.ckpt").string();
   std::vector<double> field(static_cast<std::size_t>(state.range(0)), 1.5);
