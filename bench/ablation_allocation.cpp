@@ -14,19 +14,16 @@ namespace {
 void run_for(const HeroRun& hero) {
   std::printf("--- %s (MTBF %.1f h) ---\n", hero.label, hero.mtbf_hours);
   const double budget = 168.0;  // one week
-  const auto weibull =
-      stats::Weibull::from_mtbf_and_shape(hero.mtbf_hours, 0.6);
-  const io::ConstantStorage storage(0.5, 0.5);
+  auto scenario = hero_scenario(hero, Law::kWeibull, 0.5, 0.6, 150, 67);
+  scenario.compute_hours = 1e6;
+  scenario.time_budget_hours = budget;
 
   TextTable table({"policy", "committed work (h)", "efficiency",
                    "ckpt I/O (h)", "wasted (h)"});
   for (const char* spec :
        {"hourly", "static-oci", "ilazy:0.6", "skip2:ilazy:0.6",
         "bounded-ilazy:0.6"}) {
-    auto config = hero_config(hero, 0.5, /*compute=*/1e6);
-    config.time_budget_hours = budget;
-    const auto m = sim::run_replicas(config, *core::make_policy(spec),
-                                     weibull, storage, 150, 67);
+    const auto m = run_scenario_policy(scenario, spec).aggregate;
     table.add_row({spec, TextTable::num(m.mean_compute_hours),
                    TextTable::percent(m.mean_compute_hours / budget),
                    TextTable::num(m.mean_checkpoint_hours),

@@ -3,10 +3,9 @@
 /// Lazy/Skip; here we quantify the composition: blocking fraction sweep
 /// under static OCI and under iLazy.
 ///
-/// Scenario-driven: each row is a catalog-style Scenario (the `daly` OCI
-/// sentinel reproduces hero_config's Daly(β, MTBF) derivation bitwise)
-/// run through spec::ScenarioRunner — the table is byte-identical to the
-/// pre-migration hand-wired version.
+/// Scenario-driven: each row is the petascale-20K hero scenario
+/// (bench::hero_scenario, W = 400 h) with its blocking fraction set, run
+/// through spec::ScenarioRunner.
 
 #include "bench_common.hpp"
 
@@ -18,19 +17,12 @@ int main() {
   print_params("W=400 h, beta=0.5 h, k=0.6, MTBF 11 h, 120 replicas, "
                "seed 53; sigma = blocking fraction of each write");
 
+  auto scenario =
+      hero_scenario(kPetascale20K, Law::kWeibull, 0.5, 0.6, 120, 53);
+  scenario.compute_hours = 400.0;
   const auto run = [&](const std::string& spec, double sigma) {
-    spec::Scenario s;
-    s.name = "ablation-async";
-    s.distribution = "weibull:mtbf=11,k=0.6";
-    s.storage = "constant:beta=0.5";
-    s.policy = spec;
-    s.compute_hours = 400.0;
-    s.mtbf_hint_hours = 11.0;
-    s.shape_hint = 0.6;
-    s.replicas = 120;
-    s.seed = 53;
-    s.blocking_fraction = sigma;
-    return spec::ScenarioRunner().run(s).aggregate;
+    scenario.blocking_fraction = sigma;
+    return run_scenario_policy(scenario, spec).aggregate;
   };
 
   const auto sync_oci = run("static-oci", 1.0);

@@ -5,6 +5,8 @@
 /// iLazy with the fitted shape still delivers savings on the actual
 /// (non-renewal) process.
 
+#include "core/model/oci.hpp"
+#include "core/policy/factory.hpp"
 #include "failures/generator.hpp"
 #include "sim/failure_source.hpp"
 #include "stats/fitting.hpp"

@@ -2,8 +2,6 @@
 /// chains of fixed allocations with queue gaps; the cost that matters is
 /// total machine hours billed until the science completes.
 
-#include "sim/campaign.hpp"
-
 #include "bench_common.hpp"
 
 using namespace lazyckpt;
@@ -14,26 +12,13 @@ int main() {
   print_params("500 h of science, 168 h allocations, 24 h queue gaps, "
                "MTBF 11 h, k=0.6, beta=0.5 h, 60 campaign replicas, "
                "seed 71");
-
-  const auto weibull = stats::Weibull::from_mtbf_and_shape(11.0, 0.6);
-  const io::ConstantStorage storage(0.5, 0.5);
-
-  sim::CampaignConfig config;
-  config.base.compute_hours = 500.0;
-  config.base.alpha_oci_hours = core::daly_oci(0.5, 11.0);
-  config.base.mtbf_hint_hours = 11.0;
-  config.base.shape_hint = 0.6;
-  config.allocation_hours = 168.0;
-  config.gap_hours = 24.0;
+  const spec::Scenario& scenario = spec::builtin_scenario("campaign-week");
 
   TextTable table({"policy", "allocations (mean)", "machine hours (mean)",
                    "completed", "ckpt I/O (h)"});
   for (const char* spec :
        {"hourly", "static-oci", "ilazy:0.6", "bounded-ilazy:0.6"}) {
-    const auto policy = core::make_policy(spec);
-    const auto results = sim::run_campaign_replicas(config, *policy, weibull,
-                                                    storage, 60, 71);
-    const auto agg = sim::aggregate_campaigns(results);
+    const auto agg = *run_scenario_policy(scenario, spec).campaign;
     table.add_row({spec, TextTable::num(agg.mean_allocations, 2),
                    TextTable::num(agg.mean_machine_hours, 1),
                    TextTable::num(100.0 * agg.completion_rate, 0) + "%",

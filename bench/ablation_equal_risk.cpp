@@ -7,7 +7,9 @@
 
 #include <cmath>
 
+#include "core/model/oci.hpp"
 #include "core/policy/equal_risk.hpp"
+#include "core/policy/factory.hpp"
 #include "stats/fitting.hpp"
 #include "stats/gamma.hpp"
 #include "stats/lognormal.hpp"

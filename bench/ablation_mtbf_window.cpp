@@ -5,8 +5,11 @@
 
 #include <vector>
 
+#include "core/model/oci.hpp"
+#include "core/policy/factory.hpp"
 #include "failures/trace.hpp"
 #include "sim/failure_source.hpp"
+#include "stats/exponential.hpp"
 
 #include "bench_common.hpp"
 

@@ -4,9 +4,12 @@
 /// fraction, all scored by *simulated* makespan at the interval each
 /// estimator recommends, against the best interval a fine sweep finds.
 
+#include <algorithm>
+#include <string>
+
 #include "core/model/lost_work.hpp"
+#include "core/model/oci.hpp"
 #include "core/model/runtime_model.hpp"
-#include "core/policy/periodic.hpp"
 
 #include "bench_common.hpp"
 
@@ -25,30 +28,23 @@ void run_for(const HeroRun& hero, double beta) {
   };
   const core::RuntimeModel model_eps_exact(machine, workload, eps_exact);
 
-  const auto exponential = stats::Exponential::from_mean(hero.mtbf_hours);
-  const io::ConstantStorage storage(beta, beta);
-
+  auto scenario = hero_scenario(hero, Law::kExponential, beta, 0.6, 150, 31);
+  scenario.compute_hours = 400.0;
   const auto score = [&](double interval) {
-    auto config = hero_config(hero, beta, 400.0);
-    config.alpha_oci_hours = interval;
-    const core::PeriodicPolicy policy(interval);
-    return sim::run_replicas(config, policy, exponential, storage, 150, 31)
-        .mean_makespan_hours;
+    const std::string periodic = "periodic:" + keyval::format_double(interval);
+    return run_scenario_policy(scenario, periodic, interval)
+        .aggregate.mean_makespan_hours;
   };
 
-  // Fine sweep for the empirical optimum.
-  const auto grid = sim::log_spaced(0.3 * core::daly_oci(beta, hero.mtbf_hours),
-                                    3.0 * core::daly_oci(beta, hero.mtbf_hours),
-                                    15);
-  double best_interval = grid.front();
-  double best_makespan = score(grid.front());
-  for (std::size_t i = 1; i < grid.size(); ++i) {
-    const double t = score(grid[i]);
-    if (t < best_makespan) {
-      best_makespan = t;
-      best_interval = grid[i];
-    }
-  }
+  // Fine sweep for the empirical optimum (the first of equal minima).
+  const double daly = core::daly_oci(beta, hero.mtbf_hours);
+  const auto sweep =
+      interval_curve(scenario, sim::log_spaced(0.3 * daly, 3.0 * daly, 15));
+  const auto best = *std::min_element(
+      sweep.begin(), sweep.end(), [](const auto& a, const auto& b) {
+        return a.metrics.mean_makespan_hours < b.metrics.mean_makespan_hours;
+      });
+  const double best_makespan = best.metrics.mean_makespan_hours;
 
   TextTable table({"estimator", "OCI (h)", "simulated T (h)",
                    "vs best sweep"});
@@ -58,10 +54,10 @@ void run_for(const HeroRun& hero, double beta) {
                    TextTable::percent(t / best_makespan - 1.0, 2)});
   };
   row("Young sqrt(2*beta*M)", core::young_oci(beta, hero.mtbf_hours));
-  row("Daly higher-order", core::daly_oci(beta, hero.mtbf_hours));
+  row("Daly higher-order", daly);
   row("numeric, eps=0.5", core::numeric_oci(model_eps_half));
   row("numeric, eps exact", core::numeric_oci(model_eps_exact));
-  table.add_row({"best of fine sweep", TextTable::num(best_interval),
+  table.add_row({"best of fine sweep", TextTable::num(best.interval_hours),
                  TextTable::num(best_makespan), "0.00%"});
   std::printf("%s\n", table.to_string().c_str());
 }

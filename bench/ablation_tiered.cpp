@@ -8,6 +8,8 @@
 /// historical serial loop — the table is byte-identical to the pre-
 /// migration hand-wired version.
 
+#include "core/model/oci.hpp"
+
 #include "bench_common.hpp"
 
 using namespace lazyckpt;

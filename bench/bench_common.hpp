@@ -8,30 +8,26 @@
 /// (including seeds — everything is reproducible), then the rows/series.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
 #endif
 
+#include "common/keyval.hpp"
 #include "common/parallel.hpp"
 #include "common/table.hpp"
-#include "core/model/oci.hpp"
-#include "core/policy/factory.hpp"
-#include "io/factory.hpp"
-#include "io/storage_model.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/sweep.hpp"
 #include "spec/catalog.hpp"
 #include "spec/runner.hpp"
-#include "stats/exponential.hpp"
-#include "stats/factory.hpp"
-#include "stats/weibull.hpp"
 
 namespace lazyckpt::bench {
 
@@ -52,47 +48,67 @@ inline constexpr HeroRun kPetascale10K{"petascale-10K", 22.0};
 inline constexpr HeroRun kPetascale20K{"petascale-20K", 11.0};
 inline constexpr HeroRun kExascale100K{"exascale-100K", 2.2};
 
-/// Standard simulation configuration: W hours of compute on the given
-/// machine with a Daly-OCI reference interval.
-inline sim::SimulationConfig hero_config(const HeroRun& hero,
-                                         double beta_hours,
-                                         double compute_hours = 500.0,
-                                         double shape = 0.6) {
-  sim::SimulationConfig config;
-  config.compute_hours = compute_hours;
-  config.alpha_oci_hours = core::daly_oci(beta_hours, hero.mtbf_hours);
-  config.mtbf_hint_hours = hero.mtbf_hours;
-  config.shape_hint = shape;
-  return config;
+/// Failure law of a hero run's inter-arrival times.
+enum class Law { kWeibull, kExponential };
+
+/// A hero run as a scenario: W = 500 h (the Scenario default) on `hero`'s
+/// machine, `law` failures at its MTBF (Weibull shape `shape`), constant
+/// storage with β = γ = `beta_hours` (plus `size_gb` for write-volume
+/// accounting when > 0), and explicit mtbf-hint and shape-hint, so the
+/// runner's Daly OCI is core::daly_oci(β, MTBF) bit for bit.  The policy
+/// is a placeholder for run_scenario_policy to swap; callers set any other
+/// field (compute_hours, time_budget_hours, …) on the result.
+inline spec::Scenario hero_scenario(const HeroRun& hero, Law law,
+                                    double beta_hours, double shape,
+                                    std::size_t replicas, std::uint64_t seed,
+                                    double size_gb = 0.0) {
+  const std::string mtbf = keyval::format_double(hero.mtbf_hours);
+  spec::Scenario scenario;
+  scenario.name = hero.label;
+  scenario.distribution =
+      law == Law::kWeibull
+          ? "weibull:mtbf=" + mtbf + ",k=" + keyval::format_double(shape)
+          : "exponential:mtbf=" + mtbf;
+  scenario.storage = "constant:beta=" + keyval::format_double(beta_hours);
+  if (size_gb > 0.0) {
+    scenario.storage += ",size_gb=" + keyval::format_double(size_gb);
+  }
+  scenario.policy = "static-oci";
+  scenario.mtbf_hint_hours = hero.mtbf_hours;
+  scenario.shape_hint = shape;
+  scenario.replicas = replicas;
+  scenario.seed = seed;
+  return scenario;
 }
 
-/// Evaluate a policy spec on a hero run under Weibull(k) failures.
-inline sim::AggregateMetrics evaluate(const HeroRun& hero, double beta_hours,
-                                      const std::string& policy_spec,
-                                      double shape, std::size_t replicas,
-                                      std::uint64_t seed,
-                                      double compute_hours = 500.0) {
-  const auto config = hero_config(hero, beta_hours, compute_hours, shape);
-  const auto weibull =
-      stats::Weibull::from_mtbf_and_shape(hero.mtbf_hours, shape);
-  const io::ConstantStorage storage(beta_hours, beta_hours);
-  const auto policy = core::make_policy(policy_spec);
-  return sim::run_replicas(config, *policy, weibull, storage, replicas, seed);
-}
-
-/// Replica-averaged metrics for `scenario` with its policy swapped to
+/// `scenario` run through spec::ScenarioRunner with its policy swapped to
 /// `policy_spec` and (optionally, when > 0) its reference OCI overridden —
 /// the figure benches evaluate several policies and intervals against one
-/// catalog machine+workload.  Everything else (distribution, storage,
-/// replicas, seed) comes from the scenario, so two policies compared this
-/// way face the same failure arrival times.
-inline sim::AggregateMetrics run_scenario_policy(
-    const spec::Scenario& scenario, const std::string& policy_spec,
-    double oci_hours = 0.0) {
+/// machine+workload.  Everything else (distribution, storage, replicas,
+/// seed) comes from the scenario, so two policies compared this way face
+/// the same failure arrival times.
+inline spec::ScenarioResult run_scenario_policy(const spec::Scenario& scenario,
+                                                const std::string& policy_spec,
+                                                double oci_hours = 0.0) {
   spec::Scenario variant = scenario;
   variant.policy = policy_spec;
   if (oci_hours > 0.0) variant.oci_hours = oci_hours;
-  return spec::ScenarioRunner().run(variant).aggregate;
+  return spec::ScenarioRunner().run(variant);
+}
+
+/// The runtime-vs-interval curve of `scenario`: periodic checkpointing at
+/// each interval with the reference OCI set to match — what
+/// sim::runtime_vs_interval computes, one runner call per interval.  Like
+/// it, parallel over intervals; each run's replica loop detects the
+/// nesting and runs serially.
+inline std::vector<sim::IntervalPoint> interval_curve(
+    const spec::Scenario& scenario, const std::vector<double>& intervals) {
+  return parallel_map(intervals.size(), [&](std::size_t i) {
+    const double t = intervals[i];
+    const std::string periodic = "periodic:" + keyval::format_double(t);
+    return sim::IntervalPoint{
+        t, run_scenario_policy(scenario, periodic, t).aggregate};
+  });
 }
 
 /// Relative saving of `candidate` vs `baseline` (positive = candidate

@@ -10,6 +10,7 @@
 
 #include "common/random.hpp"
 #include "core/model/lost_work.hpp"
+#include "stats/exponential.hpp"
 
 #include "bench_common.hpp"
 

@@ -31,14 +31,9 @@ void run_for(const char* name) {
   };
   const core::RuntimeModel model(machine, workload, eps);
 
-  const auto exponential = stats::make_distribution(scenario.distribution);
-  const auto storage = io::make_storage(scenario.storage);
-  const auto config = spec::simulation_config(scenario);
-
-  const auto grid = sim::log_spaced(0.3 * config.alpha_oci_hours,
-                                    4.0 * config.alpha_oci_hours, 12);
-  const auto curve = sim::runtime_vs_interval(
-      config, *exponential, *storage, grid, scenario.replicas, scenario.seed);
+  const double oci = spec::simulation_config(scenario).alpha_oci_hours;
+  const auto grid = sim::log_spaced(0.3 * oci, 4.0 * oci, 12);
+  const auto curve = interval_curve(scenario, grid);
 
   TextTable table({"interval (h)", "model T (h)", "simulated T (h)",
                    "delta %"});
@@ -54,7 +49,7 @@ void run_for(const char* name) {
   }
   std::printf("%s", table.to_string().c_str());
   std::printf("model OCI (Daly): %.2f h | simulated OCI: %.2f h\n\n",
-              core::daly_oci(beta, mtbf), sim::simulated_oci(curve));
+              oci, sim::simulated_oci(curve));
 }
 
 }  // namespace

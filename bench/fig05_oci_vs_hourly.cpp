@@ -18,25 +18,18 @@ int main() {
 
   TextTable table({"application", "OCI (h)", "runtime saving",
                    "I/O time change", "hourly T (h)", "OCI T (h)"});
+  const HeroRun titan{"titan", apps::kTitanObservedMtbfHours};
   for (const auto& app : apps::leadership_applications()) {
     const double beta = transfer_time_hours(
         app.checkpoint_size_gb, apps::kTitanObservedBandwidthGbps);
-    const double oci = core::daly_oci(beta, apps::kTitanObservedMtbfHours);
+    auto scenario = hero_scenario(titan, Law::kExponential, beta, 0.6, 100, 5,
+                                  app.checkpoint_size_gb);
+    scenario.compute_hours = app.compute_hours;
+    const double oci = spec::simulation_config(scenario).alpha_oci_hours;
 
-    sim::SimulationConfig config;
-    config.compute_hours = app.compute_hours;
-    config.alpha_oci_hours = oci;
-    config.mtbf_hint_hours = apps::kTitanObservedMtbfHours;
-    config.shape_hint = 0.6;
-    const auto exponential =
-        stats::Exponential::from_mean(apps::kTitanObservedMtbfHours);
-    const io::ConstantStorage storage(beta, beta, app.checkpoint_size_gb);
-
-    const auto hourly = sim::run_replicas(
-        config, *core::make_policy("hourly"), exponential, storage, 100, 5);
+    const auto hourly = run_scenario_policy(scenario, "hourly").aggregate;
     const auto with_oci =
-        sim::run_replicas(config, *core::make_policy("static-oci"),
-                          exponential, storage, 100, 5);
+        run_scenario_policy(scenario, "static-oci").aggregate;
 
     table.add_row(
         {app.name, TextTable::num(oci),

@@ -13,19 +13,12 @@ namespace {
 
 void run_for(const HeroRun& hero) {
   std::printf("--- %s (MTBF %.1f h) ---\n", hero.label, hero.mtbf_hours);
-  const double beta = 0.5;
-  const auto config = hero_config(hero, beta);
-  const auto exponential = stats::Exponential::from_mean(hero.mtbf_hours);
-  const auto weibull =
-      stats::Weibull::from_mtbf_and_shape(hero.mtbf_hours, 0.6);
-  const io::ConstantStorage storage(beta, beta);
-
-  const auto grid = sim::log_spaced(0.4 * config.alpha_oci_hours,
-                                    3.0 * config.alpha_oci_hours, 10);
-  const auto curve_e =
-      sim::runtime_vs_interval(config, exponential, storage, grid, 100, 9);
-  const auto curve_w =
-      sim::runtime_vs_interval(config, weibull, storage, grid, 100, 9);
+  const auto weibull = hero_scenario(hero, Law::kWeibull, 0.5, 0.6, 100, 9);
+  const double oci = spec::simulation_config(weibull).alpha_oci_hours;
+  const auto grid = sim::log_spaced(0.4 * oci, 3.0 * oci, 10);
+  const auto curve_e = interval_curve(
+      hero_scenario(hero, Law::kExponential, 0.5, 0.6, 100, 9), grid);
+  const auto curve_w = interval_curve(weibull, grid);
 
   TextTable table({"interval (h)", "T exponential (h)", "T weibull (h)",
                    "weibull below by"});
@@ -40,8 +33,7 @@ void run_for(const HeroRun& hero) {
   std::printf("%s", table.to_string().c_str());
   std::printf("simulated OCI: exponential %.2f h | weibull %.2f h | "
               "Daly model %.2f h\n\n",
-              sim::simulated_oci(curve_e), sim::simulated_oci(curve_w),
-              config.alpha_oci_hours);
+              sim::simulated_oci(curve_e), sim::simulated_oci(curve_w), oci);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include "common/random.hpp"
 #include "core/model/lost_work.hpp"
+#include "stats/exponential.hpp"
+#include "stats/weibull.hpp"
 
 #include "bench_common.hpp"
 

@@ -3,6 +3,9 @@
 /// 10-hour MTBF, as a function of time since the last failure — the curve
 /// whose slope iLazy's interval formula inverts.
 
+#include "stats/exponential.hpp"
+#include "stats/weibull.hpp"
+
 #include "bench_common.hpp"
 
 using namespace lazyckpt;

@@ -4,6 +4,10 @@
 /// OCI 2.98 h.  Paper result: iLazy cuts cumulative checkpoint overhead by
 /// 34% while losing only 0.45% in total runtime.
 
+#include "core/policy/factory.hpp"
+#include "io/factory.hpp"
+#include "stats/factory.hpp"
+
 #include "bench_common.hpp"
 
 using namespace lazyckpt;
@@ -63,8 +67,8 @@ int main() {
     print_timeline("iLazy", lazy_run);
   }
 
-  const auto oci = run_scenario_policy(scenario, "static-oci");
-  const auto lazy = run_scenario_policy(scenario, scenario.policy);
+  const auto oci = run_scenario_policy(scenario, "static-oci").aggregate;
+  const auto lazy = run_scenario_policy(scenario, scenario.policy).aggregate;
 
   TextTable summary({"policy", "makespan (h)", "ckpt I/O (h)", "wasted (h)",
                      "checkpoints", "failures"});

@@ -18,12 +18,12 @@ void run_for(const std::string& scenario_name) {
               scenario.mtbf_hint_hours);
   const double oci = spec::simulation_config(scenario).alpha_oci_hours;
 
-  const auto baseline = run_scenario_policy(scenario, "static-oci");
-  const auto ilazy = run_scenario_policy(scenario, scenario.policy);
+  const auto baseline = run_scenario_policy(scenario, "static-oci").aggregate;
+  const auto ilazy = run_scenario_policy(scenario, scenario.policy).aggregate;
   const auto increased =
-      run_scenario_policy(scenario, "static-oci", 1.5 * oci);
+      run_scenario_policy(scenario, "static-oci", 1.5 * oci).aggregate;
   const auto combined =
-      run_scenario_policy(scenario, scenario.policy, 1.5 * oci);
+      run_scenario_policy(scenario, scenario.policy, 1.5 * oci).aggregate;
 
   TextTable table({"scheme", "ckpt-time saving", "runtime change",
                    "ckpt I/O (h)"});

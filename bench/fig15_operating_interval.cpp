@@ -22,11 +22,13 @@ int main() {
   TextTable table({"operating interval (h)", "base ckpt (h)",
                    "ilazy ckpt saving", "base T (h)", "ilazy T change",
                    "vs OCI runtime"});
-  const auto oci_baseline = run_scenario_policy(scenario, scenario.policy);
+  const auto oci_baseline =
+      run_scenario_policy(scenario, scenario.policy).aggregate;
   for (const double interval : {1.0, 2.0, 2.98, 4.0, 6.0, 9.0, 12.0}) {
     const auto base =
-        run_scenario_policy(scenario, scenario.policy, interval);
-    const auto lazy = run_scenario_policy(scenario, "ilazy:0.6", interval);
+        run_scenario_policy(scenario, scenario.policy, interval).aggregate;
+    const auto lazy =
+        run_scenario_policy(scenario, "ilazy:0.6", interval).aggregate;
     table.add_row(
         {TextTable::num(interval), TextTable::num(base.mean_checkpoint_hours),
          TextTable::percent(saving(base.mean_checkpoint_hours,

@@ -14,8 +14,9 @@ void run_for(const HeroRun& hero) {
   TextTable table({"shape k", "ckpt saving", "runtime change",
                    "ckpt baseline (h)", "ckpt ilazy (h)"});
   for (const double k : {0.5, 0.6, 0.7}) {
-    const auto baseline = evaluate(hero, 0.5, "static-oci", k, 150, 17);
-    const auto lazy = evaluate(hero, 0.5, "ilazy", k, 150, 17);
+    const auto scenario = hero_scenario(hero, Law::kWeibull, 0.5, k, 150, 17);
+    const auto baseline = run_scenario_policy(scenario, "static-oci").aggregate;
+    const auto lazy = run_scenario_policy(scenario, "ilazy").aggregate;
     table.add_row({TextTable::num(k, 1),
                    TextTable::percent(saving(baseline.mean_checkpoint_hours,
                                              lazy.mean_checkpoint_hours)),

@@ -15,10 +15,13 @@ void run_for(const HeroRun& hero) {
   TextTable table({"beta (h)", "OCI (h)", "ckpt saving", "runtime change",
                    "checkpoints base"});
   for (const double beta : {1.0, 0.5, 0.25, 0.1}) {
-    const auto baseline = evaluate(hero, beta, "static-oci", 0.6, 120, 18);
-    const auto lazy = evaluate(hero, beta, "ilazy:0.6", 0.6, 120, 18);
+    const auto scenario =
+        hero_scenario(hero, Law::kWeibull, beta, 0.6, 120, 18);
+    const auto baseline = run_scenario_policy(scenario, "static-oci").aggregate;
+    const auto lazy = run_scenario_policy(scenario, "ilazy:0.6").aggregate;
     table.add_row({TextTable::num(beta),
-                   TextTable::num(core::daly_oci(beta, hero.mtbf_hours)),
+                   TextTable::num(
+                       spec::simulation_config(scenario).alpha_oci_hours),
                    TextTable::percent(saving(baseline.mean_checkpoint_hours,
                                              lazy.mean_checkpoint_hours)),
                    TextTable::percent(lazy.mean_makespan_hours /

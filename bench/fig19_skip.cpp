@@ -15,7 +15,8 @@ int main() {
                "seed 19");
 
   const auto& scenario = spec::builtin_scenario("fig19");
-  const auto baseline = run_scenario_policy(scenario, scenario.policy);
+  const auto baseline =
+      run_scenario_policy(scenario, scenario.policy).aggregate;
 
   TextTable table({"scheme", "ckpt saving", "runtime change", "skipped",
                    "wasted (h)"});
@@ -24,7 +25,7 @@ int main() {
   for (int n = 1; n <= 3; ++n) {
     const std::string spec =
         "skip" + std::to_string(n) + ":" + scenario.policy;
-    const auto m = run_scenario_policy(scenario, spec);
+    const auto m = run_scenario_policy(scenario, spec).aggregate;
     table.add_row({"skip-" + std::to_string(n),
                    TextTable::percent(saving(baseline.mean_checkpoint_hours,
                                              m.mean_checkpoint_hours)),

@@ -13,12 +13,12 @@ int main() {
                "seed 20");
 
   const auto& scenario = spec::builtin_scenario("fig20");
-  const auto baseline = run_scenario_policy(scenario, "static-oci");
+  const auto baseline = run_scenario_policy(scenario, "static-oci").aggregate;
 
   TextTable table({"scheme", "ckpt saving vs OCI", "runtime change",
                    "checkpoints", "skipped"});
   const auto row = [&](const char* label, const std::string& spec) {
-    const auto m = run_scenario_policy(scenario, spec);
+    const auto m = run_scenario_policy(scenario, spec).aggregate;
     table.add_row({label,
                    TextTable::percent(saving(baseline.mean_checkpoint_hours,
                                              m.mean_checkpoint_hours)),

@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "core/model/bounds.hpp"
+#include "stats/factory.hpp"
 
 #include "bench_common.hpp"
 
@@ -35,10 +36,10 @@ int main() {
   }
   std::printf("%s\n", cap_table.to_string().c_str());
 
-  const auto baseline = run_scenario_policy(scenario, "static-oci");
+  const auto baseline = run_scenario_policy(scenario, "static-oci").aggregate;
   TextTable table({"scheme", "ckpt saving", "runtime change", "wasted (h)"});
   const auto row = [&](const char* label, const std::string& spec) {
-    const auto m = run_scenario_policy(scenario, spec);
+    const auto m = run_scenario_policy(scenario, spec).aggregate;
     table.add_row({label,
                    TextTable::percent(saving(baseline.mean_checkpoint_hours,
                                              m.mean_checkpoint_hours)),

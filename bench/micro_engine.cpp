@@ -23,8 +23,10 @@
 
 #include "bench_common.hpp"
 #include "core/policy/factory.hpp"
+#include "io/storage_model.hpp"
 #include "sim/batch.hpp"
 #include "stats/exponential.hpp"
+#include "stats/weibull.hpp"
 
 namespace lazyckpt::bench {
 namespace {
@@ -192,8 +194,10 @@ int main() {
                std::to_string(kSeed) + ", best of " +
                std::to_string(kRounds) + " rounds");
 
-  sim::SimulationConfig config =
-      hero_config(kPetascale20K, 0.5, kComputeHours);
+  spec::Scenario hero =
+      hero_scenario(kPetascale20K, Law::kWeibull, 0.5, 0.6, replicas, kSeed);
+  hero.compute_hours = kComputeHours;
+  const sim::SimulationConfig config = spec::simulation_config(hero);
 
   // One stream list, shared by every arm and workload — the streams the
   // seed digests were recorded on.

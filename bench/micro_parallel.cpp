@@ -17,6 +17,8 @@
 #include "bench_common.hpp"
 #include "common/parallel.hpp"
 #include "core/policy/periodic.hpp"
+#include "io/storage_model.hpp"
+#include "stats/weibull.hpp"
 
 using namespace lazyckpt;
 using namespace lazyckpt::bench;
@@ -30,12 +32,15 @@ sim::AggregateMetrics run_sweep() {
   // 5000 h of science per replica: heavy enough (~50 ms serial for the
   // 150-replica sweep) that pool dispatch overhead is negligible and the
   // measured speedup reflects the engine, not thread start-up.
-  const auto config = hero_config(kPetascale20K, 0.5, /*compute_hours=*/5000.0);
+  spec::Scenario hero = hero_scenario(kPetascale20K, Law::kWeibull, 0.5, 0.6,
+                                      bench_replicas(kReplicas), kSeed);
+  hero.compute_hours = 5000.0;
+  const auto config = spec::simulation_config(hero);
   const auto weibull = stats::Weibull::from_mtbf_and_shape(11.0, 0.6);
   const io::ConstantStorage storage(0.5, 0.5);
   const core::StaticOciPolicy policy;
-  return sim::run_replicas(config, policy, weibull, storage,
-                           bench_replicas(kReplicas), kSeed);
+  return sim::run_replicas(config, policy, weibull, storage, hero.replicas,
+                           hero.seed);
 }
 
 struct Timing {

@@ -4,6 +4,7 @@
 
 #include "apps/catalog.hpp"
 #include "common/units.hpp"
+#include "core/model/oci.hpp"
 
 #include "bench_common.hpp"
 
