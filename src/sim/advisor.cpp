@@ -12,7 +12,6 @@
 #include "sim/sweep.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/fitting.hpp"
-#include "stats/ks_test.hpp"
 
 namespace lazyckpt::sim {
 namespace {
@@ -39,27 +38,10 @@ Recommendation advise(const AdvisorInput& input, std::uint64_t seed,
   Recommendation rec;
   rec.mtbf_hours = stats::mean(gaps);
 
-  // Fit the candidate set; pick the lowest K-S distance.
+  // The fitted Weibull model drives both the policy choice and the
+  // projection.
   const auto weibull = stats::fit_weibull(gaps);
   rec.weibull_shape = weibull.shape();
-  rec.weibull_scale = weibull.scale();
-  {
-    const auto exponential = stats::fit_exponential(gaps);
-    const auto lognormal = stats::fit_lognormal(gaps);
-    const auto gamma = stats::fit_gamma(gaps);
-    double best_d = stats::ks_statistic(gaps, weibull);
-    rec.best_fit_name = "weibull";
-    const auto consider = [&](const stats::Distribution& d) {
-      const double distance = stats::ks_statistic(gaps, d);
-      if (distance < best_d) {
-        best_d = distance;
-        rec.best_fit_name = d.name();
-      }
-    };
-    consider(exponential);
-    consider(lognormal);
-    consider(gamma);
-  }
 
   rec.beta_hours =
       transfer_time_hours(input.checkpoint_size_gb, input.bandwidth_gbps);

@@ -27,9 +27,7 @@ struct AdvisorInput {
 /// The advisor's verdict.
 struct Recommendation {
   // Fitted failure model.
-  std::string best_fit_name;   ///< lowest K-S D among candidates
   double weibull_shape = 0.0;  ///< fitted k
-  double weibull_scale = 0.0;  ///< fitted λ
   double mtbf_hours = 0.0;     ///< observed mean gap
 
   // Derived scheduling parameters.
