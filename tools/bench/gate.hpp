@@ -24,8 +24,9 @@
 
 namespace lazyckpt::benchgate {
 
-/// One measured arm of one workload row ("legacy", "generic", "fast",
-/// "batch").
+/// One measured arm of one workload row.  Fresh micro_engine reports carry
+/// "generic", "fast" and "batch"; only the committed baseline's rows also
+/// have "legacy".
 struct ArmStats {
   double seconds = 0.0;
   double trials_per_sec = 0.0;
