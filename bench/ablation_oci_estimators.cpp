@@ -5,7 +5,7 @@
 /// estimator recommends, against the best interval a fine sweep finds.
 
 #include <algorithm>
-#include <string>
+#include <vector>
 
 #include "core/model/lost_work.hpp"
 #include "core/model/oci.hpp"
@@ -30,11 +30,6 @@ void run_for(const HeroRun& hero, double beta) {
 
   auto scenario = hero_scenario(hero, Law::kExponential, beta, 0.6, 150, 31);
   scenario.compute_hours = 400.0;
-  const auto score = [&](double interval) {
-    const std::string periodic = "periodic:" + keyval::format_double(interval);
-    return run_scenario_policy(scenario, periodic, interval)
-        .aggregate.mean_makespan_hours;
-  };
 
   // Fine sweep for the empirical optimum (the first of equal minima).
   const double daly = core::daly_oci(beta, hero.mtbf_hours);
@@ -46,17 +41,21 @@ void run_for(const HeroRun& hero, double beta) {
       });
   const double best_makespan = best.metrics.mean_makespan_hours;
 
+  // Each estimator is scored by the simulated makespan at its interval.
+  const char* const labels[] = {"Young sqrt(2*beta*M)", "Daly higher-order",
+                                "numeric, eps=0.5", "numeric, eps exact"};
+  const std::vector<double> estimates = {
+      core::young_oci(beta, hero.mtbf_hours), daly,
+      core::numeric_oci(model_eps_half), core::numeric_oci(model_eps_exact)};
+  const auto scored = interval_curve(scenario, estimates);
+
   TextTable table({"estimator", "OCI (h)", "simulated T (h)",
                    "vs best sweep"});
-  const auto row = [&](const char* label, double interval) {
-    const double t = score(interval);
-    table.add_row({label, TextTable::num(interval), TextTable::num(t),
+  for (std::size_t i = 0; i < scored.size(); ++i) {
+    const double t = scored[i].metrics.mean_makespan_hours;
+    table.add_row({labels[i], TextTable::num(estimates[i]), TextTable::num(t),
                    TextTable::percent(t / best_makespan - 1.0, 2)});
-  };
-  row("Young sqrt(2*beta*M)", core::young_oci(beta, hero.mtbf_hours));
-  row("Daly higher-order", daly);
-  row("numeric, eps=0.5", core::numeric_oci(model_eps_half));
-  row("numeric, eps exact", core::numeric_oci(model_eps_exact));
+  }
   table.add_row({"best of fine sweep", TextTable::num(best.interval_hours),
                  TextTable::num(best_makespan), "0.00%"});
   std::printf("%s\n", table.to_string().c_str());

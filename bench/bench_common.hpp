@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,11 +24,13 @@
 #include "common/keyval.hpp"
 #include "common/parallel.hpp"
 #include "common/table.hpp"
+#include "io/factory.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/sweep.hpp"
 #include "spec/catalog.hpp"
 #include "spec/runner.hpp"
+#include "stats/factory.hpp"
 
 namespace lazyckpt::bench {
 
@@ -96,19 +99,16 @@ inline spec::ScenarioResult run_scenario_policy(const spec::Scenario& scenario,
   return spec::ScenarioRunner().run(variant);
 }
 
-/// The runtime-vs-interval curve of `scenario`: periodic checkpointing at
-/// each interval with the reference OCI set to match — what
-/// sim::runtime_vs_interval computes, one runner call per interval.  Like
-/// it, parallel over intervals; each run's replica loop detects the
-/// nesting and runs serially.
+/// The runtime-vs-interval curve of `scenario`: sim::runtime_vs_interval
+/// over `intervals` on the scenario's config, failure law, storage,
+/// replicas and seed.
 inline std::vector<sim::IntervalPoint> interval_curve(
-    const spec::Scenario& scenario, const std::vector<double>& intervals) {
-  return parallel_map(intervals.size(), [&](std::size_t i) {
-    const double t = intervals[i];
-    const std::string periodic = "periodic:" + keyval::format_double(t);
-    return sim::IntervalPoint{
-        t, run_scenario_policy(scenario, periodic, t).aggregate};
-  });
+    const spec::Scenario& scenario, std::span<const double> intervals) {
+  return sim::runtime_vs_interval(
+      spec::simulation_config(scenario),
+      *stats::make_distribution(scenario.distribution),
+      *io::make_storage(scenario.storage), intervals, scenario.replicas,
+      scenario.seed);
 }
 
 /// Relative saving of `candidate` vs `baseline` (positive = candidate

@@ -90,6 +90,10 @@ const Digest& seed_digest(const Workload& wl, std::size_t replicas) {
   return replicas == kReplicas ? wl.seed_full : wl.seed_smoke;
 }
 
+/// The laws and the storage are built by hand, not from main's hero
+/// scenario: the workloads pair that one config with both an exponential
+/// and a Weibull law, and the seed digests pin these exact parameters
+/// (MTBF 11 h, k = 0.6, beta = gamma = 0.5 h).
 stats::DistributionPtr make_dist(const std::string& kind) {
   if (kind == "exponential") {
     return stats::Exponential::from_mean(11.0).clone();

@@ -53,8 +53,11 @@ BENCHMARK_CAPTURE(BM_PolicyDecision, bounded_ilazy,
                   std::string("bounded-ilazy:0.6"));
 
 void BM_SimulateHeroRun(benchmark::State& state) {
-  const auto config = spec::simulation_config(bench::hero_scenario(
-      bench::kPetascale20K, bench::Law::kWeibull, 0.5, 0.6, 1, 1));
+  sim::SimulationConfig config;
+  config.compute_hours = 500.0;
+  config.alpha_oci_hours = 2.98;
+  config.mtbf_hint_hours = 11.0;
+  config.shape_hint = 0.6;
   const auto weibull = stats::Weibull::from_mtbf_and_shape(11.0, 0.6);
   const io::ConstantStorage storage(0.5, 0.5);
   const auto policy = core::make_policy("ilazy:0.6");

@@ -17,8 +17,6 @@
 #include "bench_common.hpp"
 #include "common/parallel.hpp"
 #include "core/policy/periodic.hpp"
-#include "io/storage_model.hpp"
-#include "stats/weibull.hpp"
 
 using namespace lazyckpt;
 using namespace lazyckpt::bench;
@@ -36,10 +34,10 @@ sim::AggregateMetrics run_sweep() {
                                       bench_replicas(kReplicas), kSeed);
   hero.compute_hours = 5000.0;
   const auto config = spec::simulation_config(hero);
-  const auto weibull = stats::Weibull::from_mtbf_and_shape(11.0, 0.6);
-  const io::ConstantStorage storage(0.5, 0.5);
   const core::StaticOciPolicy policy;
-  return sim::run_replicas(config, policy, weibull, storage, hero.replicas,
+  return sim::run_replicas(config, policy,
+                           *stats::make_distribution(hero.distribution),
+                           *io::make_storage(hero.storage), hero.replicas,
                            hero.seed);
 }
 
